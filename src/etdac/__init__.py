@@ -9,10 +9,10 @@ experiment harness.
 """
 
 from .grid import Field, Mesh2D, discrete_energy, inner, l2_norm, max_norm
-from .phi import PhiTable, phi, phi_batch
+from .phi import phi, phi_batch
 from .potentials import FloryHuggins, GinzburgLandau, compute_beta, compute_kappa_min
 from .scheme import NodeSet, SchemeSpec, make_nodes, make_scheme, sigma_min, tau_max, vandermonde
-from .spectral import SpectralPlan, apply_phi, from_spectral, to_spectral
+from .spectral import SpectralPlan, apply_phi
 from .stepper import (
     BoundExceeded,
     NumericalBlowup,
@@ -29,10 +29,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Field", "Mesh2D", "discrete_energy", "inner", "l2_norm", "max_norm",
-    "PhiTable", "phi", "phi_batch",
+    "phi", "phi_batch",
     "FloryHuggins", "GinzburgLandau", "compute_beta", "compute_kappa_min",
     "NodeSet", "SchemeSpec", "make_nodes", "make_scheme", "sigma_min", "tau_max", "vandermonde",
-    "SpectralPlan", "apply_phi", "from_spectral", "to_spectral",
+    "SpectralPlan", "apply_phi",
     "BoundExceeded", "NumericalBlowup", "StageState", "StepContext",
     "evaluate_stage", "polynomial_abs_max", "rescale_factor", "step",
     "RunReport", "StepDiagnostics", "record", "write_csv",

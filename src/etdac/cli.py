@@ -22,7 +22,7 @@ from .config import (
     initial_field,
     resolve_config,
 )
-from .diagnostics import RunReport, record, write_csv
+from .diagnostics import MBP_TOL, RunReport, record, write_csv
 from .grid import Field, l2_norm, max_norm, write_field_csv
 from .scheme import make_nodes, make_scheme, sigma_min, tau_max, vandermonde
 from .stepper import BoundExceeded, NumericalBlowup, StepContext, step
@@ -90,13 +90,21 @@ def _split_steps(t_end: float, tau: float) -> tuple[int, float]:
     return m, rem
 
 
+def _setup(cfg):
+    """(potential, plan, u0) of a resolved config."""
+    mesh = build_mesh(cfg)
+    potential = build_potential(cfg)
+    plan = build_plan(cfg, mesh, potential)
+    return potential, plan, initial_field(cfg, mesh, potential)
+
+
 def _integrate(plan, potential, spec, rescaled, tau, t_end, u0, cfg_echo):
     """Run to t_end; returns (u, report, error-or-None).
 
     A numerical failure stops the run but keeps the completed records; the
     exception gains a step_index attribute.
     """
-    if rescaled and max_norm(u0) > potential.beta + 1e-9:
+    if rescaled and max_norm(u0) > potential.beta + MBP_TOL:
         raise ConfigError(
             f"initial data has max norm {max_norm(u0):.6g}, above the bound "
             f"beta={potential.beta:.6g} required for rescaled stepping"
@@ -132,11 +140,8 @@ def _outdir(cfg) -> str:
 
 
 def cmd_run(cfg, args) -> int:
-    mesh = build_mesh(cfg)
-    potential = build_potential(cfg)
-    plan = build_plan(cfg, mesh, potential)
+    potential, plan, u0 = _setup(cfg)
     spec = make_scheme(int(cfg["order"]), plan.kappa, cfg["nodes"])
-    u0 = initial_field(cfg, mesh, potential)
     u, report, err = _integrate(plan, potential, spec, cfg["rescaled"], cfg["tau"], cfg["t_end"], u0, cfg)
     out = _outdir(cfg)
     write_csv(report, os.path.join(out, "diagnostics.csv"))
@@ -162,7 +167,10 @@ def _parse_ref(spec_str: str, order: int) -> tuple[int, float | None]:
         return order + 1, None
     if spec_str.startswith("self_finer"):
         parts = spec_str.split(":")
-        k = 8 if len(parts) == 1 else int(parts[1])
+        try:
+            k = 8 if len(parts) == 1 else int(parts[1])
+        except ValueError as exc:
+            raise ConfigError(f"bad self_finer divider: {exc}") from exc
         if k < 1:
             raise ConfigError("self_finer divider must be >= 1")
         return order, float(k)
@@ -184,17 +192,16 @@ def cmd_converge(cfg, args) -> int:
     if t_end <= 0:
         raise ConfigError("t_end must be positive for a convergence study")
     for tau in taus:
+        if not (math.isfinite(tau) and tau > 0):
+            raise ConfigError(f"tau={tau} in --taus is not finite and positive")
         nsteps = round(t_end / tau)
         if nsteps < 1 or abs(nsteps * tau - t_end) > 1e-9 * max(1.0, t_end):
             raise ConfigError(f"tau={tau} does not divide t_end={t_end}")
 
-    mesh = build_mesh(cfg)
-    potential = build_potential(cfg)
-    plan = build_plan(cfg, mesh, potential)
     order = int(cfg["order"])
     ref_order, divider = _parse_ref(args.ref, order)
     tau_ref = min(taus) if divider is None else min(taus) / divider
-    u0 = initial_field(cfg, mesh, potential)
+    potential, plan, u0 = _setup(cfg)
 
     ref_spec = make_scheme(ref_order, plan.kappa, cfg["nodes"])
     u_ref, _, err = _integrate(plan, potential, ref_spec, cfg["rescaled"], tau_ref, t_end, u0, cfg)
@@ -210,7 +217,7 @@ def cmd_converge(cfg, args) -> int:
         u, _, err = _integrate(plan, potential, spec, cfg["rescaled"], tau, t_end, u0, cfg)
         if err is not None:
             raise err
-        diff = Field(mesh, u.values - u_ref.values)
+        diff = Field(plan.mesh, u.values - u_ref.values)
         e_linf = max_norm(diff) / ref_linf
         e_l2 = l2_norm(diff) / ref_l2
         if prev_errs is None:
@@ -248,10 +255,7 @@ def cmd_mbp_test(cfg, args) -> int:
     if cfg["init"].get("kind") != "random":
         cfg = dict(cfg)
         cfg["init"] = {"kind": "random", "seed": 42, "amplitude": 1.0}
-    mesh = build_mesh(cfg)
-    potential = build_potential(cfg)
-    plan = build_plan(cfg, mesh, potential)
-    u0 = initial_field(cfg, mesh, potential)
+    potential, plan, u0 = _setup(cfg)
     out = _outdir(cfg)
     steps = 100
     rc = 0
@@ -278,17 +282,14 @@ def cmd_mbp_test(cfg, args) -> int:
 def cmd_energy_test(cfg, args) -> int:
     cfg = dict(cfg)
     cfg["init"] = {"kind": "sinprod", "amplitude": 0.5}
-    mesh = build_mesh(cfg)
-    potential = build_potential(cfg)
-    plan = build_plan(cfg, mesh, potential)
-    u0 = initial_field(cfg, mesh, potential)
+    potential, plan, u0 = _setup(cfg)
     out = _outdir(cfg)
     t_end = cfg["t_end"]
     total_violations = 0
     for order in (3, 4, 5, 6):
         bound = tau_max(order, plan.kappa, cfg["nodes"], rescaled=True)
+        spec = make_scheme(order, plan.kappa, cfg["nodes"])
         for tau in (0.2, 0.1, 0.01):
-            spec = make_scheme(order, plan.kappa, cfg["nodes"])
             u, report, err = _integrate(plan, potential, spec, True, tau, t_end, u0, cfg)
             if err is not None:
                 raise err

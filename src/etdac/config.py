@@ -18,12 +18,12 @@ import numpy as np
 
 from .grid import Field, Mesh2D, read_field_csv
 from .potentials import FloryHuggins, GinzburgLandau
-from .scheme import NODE_KINDS, make_scheme
+from .scheme import NODE_KINDS
 from .spectral import SpectralPlan
-from .stepper import StepContext
+from .stepper import MAX_ORDER
 
 __all__ = ["ConfigError", "default_config", "load_config", "resolve_config", "validate_config",
-           "build_potential", "build_mesh", "build_plan", "build_context", "initial_field"]
+           "build_potential", "build_mesh", "build_plan", "initial_field"]
 
 RANDOM_MARGIN = 1e-12
 
@@ -115,29 +115,48 @@ def resolve_config(args) -> dict:
     return cfg
 
 
+def _real(x) -> bool:
+    """A finite int or float; JSON booleans and strings are not numbers here."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    return isinstance(x, int) or math.isfinite(x)
+
+
+def _integer(x) -> bool:
+    return _real(x) and x == int(x)
+
+
 def validate_config(cfg: dict) -> None:
-    if cfg["nx"] < 2 or cfg["ny"] < 2 or cfg["nx"] != int(cfg["nx"]) or cfg["ny"] != int(cfg["ny"]):
+    if not (_integer(cfg["nx"]) and _integer(cfg["ny"]) and cfg["nx"] >= 2 and cfg["ny"] >= 2):
         raise ConfigError("grid sizes must be integers >= 2")
-    if not (cfg["lx"] > 0 and cfg["ly"] > 0):
-        raise ConfigError("domain edge lengths must be positive")
-    if cfg["eps"] <= 0:
-        raise ConfigError("eps must be positive")
-    if cfg["order"] < 1 or cfg["order"] != int(cfg["order"]):
-        raise ConfigError("order must be an integer >= 1")
+    if not (_real(cfg["lx"]) and _real(cfg["ly"]) and cfg["lx"] > 0 and cfg["ly"] > 0):
+        raise ConfigError("domain edge lengths must be finite and positive")
+    if not (_real(cfg["eps"]) and cfg["eps"] > 0):
+        raise ConfigError("eps must be finite and positive")
+    if not (_integer(cfg["order"]) and 1 <= cfg["order"] <= MAX_ORDER):
+        raise ConfigError(f"order must be an integer in [1, {MAX_ORDER}]")
     if cfg["nodes"] not in NODE_KINDS:
         raise ConfigError(f"nodes must be one of {NODE_KINDS}")
-    if cfg["tau"] <= 0:
-        raise ConfigError("tau must be positive")
-    if cfg["t_end"] < 0:
-        raise ConfigError("t_end must be nonnegative")
+    if not isinstance(cfg["rescaled"], bool):
+        raise ConfigError("rescaled must be true or false")
+    if not (_real(cfg["tau"]) and cfg["tau"] > 0):
+        raise ConfigError("tau must be finite and positive")
+    if not (_real(cfg["t_end"]) and cfg["t_end"] >= 0):
+        raise ConfigError("t_end must be finite and nonnegative")
+    if cfg["kappa"] is not None and not (_real(cfg["kappa"]) and cfg["kappa"] > 0):
+        raise ConfigError("kappa must be null or a finite positive number")
     pot = cfg["potential"]
     if not isinstance(pot, dict) or pot.get("kind") not in ("gl", "fh"):
         raise ConfigError('potential must be {"kind": "gl"} or {"kind": "fh", ...}')
+    if not all(_real(pot[key]) for key in ("theta", "theta_c") if key in pot):
+        raise ConfigError("potential theta and theta_c must be finite numbers")
     init = cfg["init"]
     if not isinstance(init, dict) or init.get("kind") not in ("sinprod", "random", "csv"):
         raise ConfigError('init kind must be "sinprod", "random", or "csv"')
-    if init["kind"] == "random" and "seed" not in init:
-        raise ConfigError("random init requires a seed")
+    if "amplitude" in init and not _real(init["amplitude"]):
+        raise ConfigError("init amplitude must be a finite number")
+    if init["kind"] == "random" and not (_integer(init.get("seed")) and init["seed"] >= 0):
+        raise ConfigError("random init requires a seed, an integer >= 0")
     if init["kind"] == "csv" and "path" not in init:
         raise ConfigError("csv init requires a path")
 
@@ -172,14 +191,6 @@ def build_plan(cfg: dict, mesh: Mesh2D, potential) -> SpectralPlan:
     return SpectralPlan(mesh, cfg["eps"], effective_kappa(cfg, potential))
 
 
-def build_context(cfg: dict, plan: SpectralPlan, potential, *, order=None, rescaled=None, tau=None) -> StepContext:
-    order = cfg["order"] if order is None else order
-    rescaled = cfg["rescaled"] if rescaled is None else rescaled
-    tau = cfg["tau"] if tau is None else tau
-    spec = make_scheme(int(order), plan.kappa, cfg["nodes"])
-    return StepContext(plan, potential, spec, tau, rescaled=rescaled)
-
-
 def initial_field(cfg: dict, mesh: Mesh2D, potential) -> Field:
     init = cfg["init"]
     if init["kind"] == "sinprod":
@@ -191,4 +202,7 @@ def initial_field(cfg: dict, mesh: Mesh2D, potential) -> Field:
         hi = amp * (potential.beta - RANDOM_MARGIN)
         rng = np.random.default_rng(int(init["seed"]))
         return Field(mesh, rng.uniform(-hi, hi, mesh.ncells))
-    return read_field_csv(mesh, init["path"])
+    try:
+        return read_field_csv(mesh, init["path"])
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot use {init['path']} as initial data: {exc}") from exc

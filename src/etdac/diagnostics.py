@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .grid import Field, discrete_energy, max_norm
 
-__all__ = ["StepDiagnostics", "RunReport", "record", "write_csv", "DISSIPATION_RTOL", "MBP_TOL"]
+__all__ = ["StepDiagnostics", "RunReport", "energy_or_inf", "record", "write_csv", "DISSIPATION_RTOL", "MBP_TOL"]
 
 DISSIPATION_RTOL = 1e-10
 MBP_TOL = 1e-12
@@ -55,16 +55,20 @@ class RunReport:
         }
 
 
+def energy_or_inf(ctx, u: Field) -> float:
+    """Discrete energy of u, or the +inf sentinel outside the potential's domain."""
+    try:
+        return discrete_energy(u, ctx.plan.eps, ctx.potential)
+    except ValueError:
+        return float("inf")
+
+
 def record(ctx, n: int, u: Field, prev_energy: float = None, *, alpha_min: float = 1.0, t: float = None) -> StepDiagnostics:
     """Measure one state; prev_energy=None marks a state with no predecessor."""
     if t is None:
         t = n * ctx.tau
     mn = max_norm(u)
-    try:
-        energy = discrete_energy(u, ctx.plan.eps, ctx.potential)
-    except ValueError:
-        # out of the potential's domain; keep the run alive with a sentinel
-        energy = float("inf")
+    energy = energy_or_inf(ctx, u)
     if prev_energy is None:
         dissipation_ok = True
     else:

@@ -80,11 +80,6 @@ class Field:
         return Field(self.mesh, self.values.copy())
 
 
-def from_grid(mesh: Mesh2D, grid: np.ndarray) -> Field:
-    """Wrap a (ny, nx) array as a Field (flattening copies only if needed)."""
-    return Field(mesh, np.ascontiguousarray(grid, dtype=np.float64).reshape(mesh.ncells))
-
-
 def constant_field(mesh: Mesh2D, c: float) -> Field:
     return Field(mesh, np.full(mesh.ncells, float(c)))
 
@@ -146,11 +141,23 @@ def write_field_csv(u: Field, path) -> None:
 
 
 def read_field_csv(mesh: Mesh2D, path) -> Field:
-    """Read a snapshot written by write_field_csv back onto the given mesh."""
+    """Read a snapshot written by write_field_csv back onto the given mesh.
+
+    Every cell of the mesh must appear exactly once, with integer indices
+    inside the mesh and a finite value; anything else raises ValueError.
+    """
     raw = np.genfromtxt(path, delimiter=",", names=True)
     if raw.size != mesh.ncells:
         raise ValueError(f"snapshot has {raw.size} cells, mesh needs {mesh.ncells}")
+    i, j = raw["i"], raw["j"]
+    for k, n in ((i, mesh.nx), (j, mesh.ny)):
+        if not np.all((k >= 0) & (k < n) & (k == np.floor(k))):
+            raise ValueError(f"snapshot cell indices must be integers inside the {mesh.nx}x{mesh.ny} mesh")
+    idx = j.astype(int) * mesh.nx + i.astype(int)
+    if np.unique(idx).size != mesh.ncells:
+        raise ValueError("snapshot lists some cell more than once")
+    if not np.all(np.isfinite(raw["u"])):
+        raise ValueError("snapshot values must be finite")
     vals = np.empty(mesh.ncells)
-    idx = raw["j"].astype(int) * mesh.nx + raw["i"].astype(int)
     vals[idx] = raw["u"]
     return Field(mesh, vals)

@@ -8,8 +8,9 @@ The defining formula cancels catastrophically for small |z| and loses
 accuracy whenever the truncated exponential series has nearly converged, so
 evaluation is split into three regions chosen by |z| relative to j:
 
-* |z| <= max(small_arg_threshold, (j+1)/2): truncated Taylor series
-  sum_k z^k/(k+j)!, terms alternating and decreasing, condition O(1).
+* |z| <= max(SMALL_ARG_THRESHOLD, (j+1)/2): Taylor series
+  sum_k z^k/(k+j)! truncated after TAYLOR_TERMS terms, terms alternating
+  and decreasing, condition O(1).
 * |z| >= 2(j+1): the rearranged form e^z z^-j - sum_{m=1..j} z^-m/(j-m)!,
   again alternating and decreasing.
 * in between: the defining formula; there the truncated exponential series
@@ -22,12 +23,14 @@ z in [-1e6, 0].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
 
-__all__ = ["PhiTable", "phi", "phi_batch"]
+__all__ = ["phi", "phi_batch", "SMALL_ARG_THRESHOLD", "TAYLOR_TERMS"]
+
+SMALL_ARG_THRESHOLD = 0.5
+TAYLOR_TERMS = 30
 
 
 def _kahan_add(s, c, term):
@@ -38,12 +41,12 @@ def _kahan_add(s, c, term):
     return t, c
 
 
-def _phi_taylor(j, z, nterms):
-    """sum_{k=0}^{nterms} z^k / (k+j)! for |z| <= max(thr, (j+1)/2)."""
+def _phi_taylor(j, z):
+    """sum_{k=0}^{TAYLOR_TERMS} z^k / (k+j)! for the small-argument branch."""
     term = np.full_like(z, 1.0 / factorial(j))
     s = term.copy()
     c = np.zeros_like(z)
-    for k in range(1, nterms + 1):
+    for k in range(1, TAYLOR_TERMS + 1):
         term = term * z / (k + j)
         s, c = _kahan_add(s, c, term)
     return s
@@ -71,7 +74,7 @@ def _phi_reciprocal(j, z):
     return np.exp(z) * np.power(w, j) - s
 
 
-def _phi_core(j, z, thr, nterms):
+def _phi_core(j, z):
     """Vectorized phi_j on a float64 array of nonpositive arguments.
 
     Branch selection is per element, so results are bit-identical no
@@ -81,45 +84,16 @@ def _phi_core(j, z, thr, nterms):
         return np.exp(z)
     out = np.empty_like(z)
     az = -z
-    small = az <= max(thr, 0.5 * (j + 1))
+    small = az <= max(SMALL_ARG_THRESHOLD, 0.5 * (j + 1))
     large = az >= 2.0 * (j + 1)
     mid = ~(small | large)
     if small.any():
-        out[small] = _phi_taylor(j, z[small], nterms)
+        out[small] = _phi_taylor(j, z[small])
     if mid.any():
         out[mid] = _phi_forward(j, z[mid])
     if large.any():
         out[large] = _phi_reciprocal(j, z[large])
     return out
-
-
-@dataclass(frozen=True)
-class PhiTable:
-    """Evaluation policy: highest index needed plus branch parameters."""
-
-    max_index: int = 10
-    small_arg_threshold: float = 0.5
-    taylor_terms: int = 30
-
-    def __post_init__(self):
-        if self.max_index < 1:
-            raise ValueError("max_index must be >= 1")
-        if not (0.0 < self.small_arg_threshold <= 1.0):
-            raise ValueError("small_arg_threshold must be in (0, 1]")
-        if self.taylor_terms < 25:
-            raise ValueError("taylor_terms must be >= 25")
-
-    def phi(self, j: int, z: float) -> float:
-        """phi_j(z) for a scalar z <= 0."""
-        _check_args(j, z)
-        return float(_phi_core(j, np.array([z], dtype=np.float64), self.small_arg_threshold, self.taylor_terms)[0])
-
-    def phi_batch(self, j: int, zs) -> np.ndarray:
-        """Elementwise phi_j; identical to scalar calls bit-for-bit."""
-        zs = np.asarray(zs, dtype=np.float64)
-        _check_args(j, zs)
-        flat = _phi_core(j, zs.ravel(), self.small_arg_threshold, self.taylor_terms)
-        return flat.reshape(zs.shape)
 
 
 def _check_args(j, z):
@@ -129,14 +103,15 @@ def _check_args(j, z):
         raise ValueError("phi is only defined here for z <= 0")
 
 
-_DEFAULT = PhiTable()
-
-
 def phi(j: int, z: float) -> float:
     """phi_j(z) for real z <= 0 with relative accuracy <= 1e-13 (j <= 10)."""
-    return _DEFAULT.phi(j, z)
+    _check_args(j, z)
+    return float(_phi_core(j, np.array([z], dtype=np.float64))[0])
 
 
 def phi_batch(j: int, zs) -> np.ndarray:
-    """Elementwise phi over an array of nonpositive arguments."""
-    return _DEFAULT.phi_batch(j, zs)
+    """Elementwise phi over an array of nonpositive arguments; identical to
+    scalar calls bit-for-bit."""
+    zs = np.asarray(zs, dtype=np.float64)
+    _check_args(j, zs)
+    return _phi_core(j, zs.ravel()).reshape(zs.shape)

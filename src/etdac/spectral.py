@@ -3,14 +3,13 @@
 On a cell-centered mesh the central-difference Laplacian with homogeneous
 Neumann boundary conditions is exactly diagonal in the tensor DCT-II basis:
 the one-dimensional eigenvalues are mu_i = -(4/h^2) sin^2(i pi / (2n)).
-Orthonormal transform scaling is used throughout, so to_spectral is an
-isometry in the h-weighted L2 norm and operator functions act as pointwise
-multiplications on the coefficients.
+Orthonormal transform scaling is used throughout, so the forward transform
+is an isometry in the h-weighted L2 norm and operator functions act as
+pointwise multiplications on the coefficients.  The stepper transforms
+inline; apply_phi is the one-shot reference form of the same operation.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
@@ -18,7 +17,7 @@ import scipy.fft
 from .grid import Field, Mesh2D
 from .phi import phi_batch
 
-__all__ = ["SpectralPlan", "SpectralField", "to_spectral", "from_spectral", "apply_phi"]
+__all__ = ["SpectralPlan", "apply_phi"]
 
 
 class SpectralPlan:
@@ -42,41 +41,12 @@ class SpectralPlan:
         self.eigvals.flags.writeable = False
 
 
-@dataclass
-class SpectralField:
-    """Cosine coefficients of a Field, same flat storage convention."""
-
-    mesh: Mesh2D
-    values: np.ndarray
-
-    def grid(self) -> np.ndarray:
-        return self.values.reshape(self.mesh.ny, self.mesh.nx)
-
-
-def _check_mesh(plan: SpectralPlan, u):
-    if u.mesh != plan.mesh:
-        raise ValueError("field mesh does not match the plan's mesh")
-
-
-def to_spectral(plan: SpectralPlan, u: Field) -> SpectralField:
-    """Orthonormal 2D DCT-II of the cell values."""
-    _check_mesh(plan, u)
-    coeffs = scipy.fft.dctn(u.grid(), type=2, norm="ortho")
-    return SpectralField(plan.mesh, coeffs.reshape(plan.mesh.ncells))
-
-
-def from_spectral(plan: SpectralPlan, uh: SpectralField) -> Field:
-    """Inverse transform (orthonormal DCT-III per dimension)."""
-    _check_mesh(plan, uh)
-    vals = scipy.fft.idctn(uh.grid(), type=2, norm="ortho")
-    return Field(plan.mesh, vals.reshape(plan.mesh.ncells))
-
-
 def apply_phi(plan: SpectralPlan, j: int, s: float, v: Field) -> Field:
     """phi_j(s L) v; j=0 gives the semigroup e^{sL}."""
     if s <= 0:
         raise ValueError("s must be positive")
-    _check_mesh(plan, v)
+    if v.mesh != plan.mesh:
+        raise ValueError("field mesh does not match the plan's mesh")
     coeffs = scipy.fft.dctn(v.grid(), type=2, norm="ortho")
     coeffs *= phi_batch(j, s * plan.eigvals)
     vals = scipy.fft.idctn(coeffs, type=2, norm="ortho")

@@ -29,7 +29,7 @@ import numpy as np
 import scipy.fft
 
 from . import diagnostics
-from .grid import Field, discrete_energy, max_norm
+from .grid import Field, max_norm
 from .phi import phi_batch
 from .scheme import SchemeSpec
 from .spectral import SpectralPlan
@@ -46,6 +46,8 @@ __all__ = [
 ]
 
 _REAL_ROOT_TOL = 1e-10
+# phi's 1e-13 contract and the Vandermonde residual tests cover j <= 10
+MAX_ORDER = 10
 
 
 class BoundExceeded(RuntimeError):
@@ -82,8 +84,8 @@ class StepContext:
             )
         if abs(spec.kappa - plan.kappa) > 1e-12 * max(1.0, plan.kappa):
             raise ValueError("scheme and plan disagree on kappa")
-        if rescaled and spec.order > 10:
-            raise ValueError("rescaled stepping supports order <= 10 (polynomial degree <= 9)")
+        if spec.order > MAX_ORDER:
+            raise ValueError(f"stepping supports order <= {MAX_ORDER}")
         self.plan = plan
         self.potential = potential
         self.spec = spec
@@ -179,8 +181,7 @@ def step(ctx: StepContext, u_n: Field, *, n: int = 1, t: float = None, prev_ener
         raise ValueError("field mesh does not match the plan's mesh")
     if not np.all(np.isfinite(u_n.values)):
         raise ValueError("u_n must be finite")
-    beta = ctx.potential.beta
-    if ctx.rescaled and max_norm(u_n) > beta + 1e-9:
+    if ctx.rescaled and max_norm(u_n) > ctx.potential.beta + diagnostics.MBP_TOL:
         raise ValueError("rescaled stepping requires max_norm(u_n) <= beta")
 
     try:
@@ -188,7 +189,7 @@ def step(ctx: StepContext, u_n: Field, *, n: int = 1, t: float = None, prev_ener
     except ValueError as exc:
         raise BoundExceeded(0, 0) from exc
     if prev_energy is None:
-        prev_energy = _energy_or_inf(ctx, u_n)
+        prev_energy = diagnostics.energy_or_inf(ctx, u_n)
 
     n_base = Field(mesh, n0)
     state = _make_state(ctx, 0, [], n_base)
@@ -217,13 +218,6 @@ def step(ctx: StepContext, u_n: Field, *, n: int = 1, t: float = None, prev_ener
     alpha_min = float(np.min(state.alpha.values))
     diag = diagnostics.record(ctx, n, u_next, prev_energy, alpha_min=alpha_min, t=t)
     return u_next, diag
-
-
-def _energy_or_inf(ctx, u: Field) -> float:
-    try:
-        return discrete_energy(u, ctx.plan.eps, ctx.potential)
-    except ValueError:
-        return float("inf")
 
 
 def rescale_factor(n_base: Field, coeffs, kappa_beta: float) -> Field:

@@ -106,15 +106,64 @@ class TestExitCodes:
         ["converge", "--taus", "0.1,0.05", "--grid", "8"],
         ["converge", "--ref", "bogus", "--grid", "8"],
         ["mbp-test", "--grid", "8"],
+        ["run", "--tau", "nan"],
+        ["run", "--t-end", "nan"],
+        ["converge", "--taus", "0.1,0.05,nan", "--grid", "8"],
+        ["run", "--eps", "nan"],
+        ["run", "--tau", "inf"],
+        ["run", "--kappa", "nan"],
+        ["run", "--seed", "-1"],
+        ["run", "--order", "14", "--rescaled", "false"],
+        ["converge", "--ref", "self_finer:x", "--grid", "8"],
+        ["run", {"nx": "abc"}],
+        ["run", {"order": 3.5}],
+        ["run", {"rescaled": "false"}],
+        ["run", {"init": {"kind": "random", "seed": "abc"}}],
+        ["tables", "--kappa", "0"],
     ])
     def test_config_errors_exit_2(self, tmp_path, argv, capsys):
+        if isinstance(argv[-1], dict):
+            # a dict stands for a config file holding it
+            cfgfile = tmp_path / "c.json"
+            cfgfile.write_text(json.dumps(argv[-1]))
+            argv = argv[:-1] + ["--config", str(cfgfile)]
         rc = main(argv + ["--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cells", [
+        ["0,0", "0,0", "0,1", "1,1"],  # cell (0, 0) twice, (1, 0) missing
+        ["0,0", "1,0", "2,0", "1,1"],  # i = nx wraps into the next row
+        ["0,0", "1,0", "0,1"],  # a cell short
+        None,  # no file
+    ])
+    def test_bad_csv_initial_data_exits_2(self, tmp_path, cells, capsys):
+        init = tmp_path / "u0.csv"
+        if cells is not None:
+            init.write_text("i,j,x,y,u\n" + "".join(f"{c},0.5,0.5,0.25\n" for c in cells))
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({"nx": 2, "ny": 2, "init": {"kind": "csv", "path": str(init)}}))
+        rc = main(["run", "--config", str(cfgfile), "--t-end", "0.1", "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "config error" in capsys.readouterr().err
 
     def test_rescaled_with_oversized_initial_data_exits_2(self, tmp_path, capsys):
         init = tmp_path / "u0.csv"
         write_field_csv(constant_field(Mesh2D(2 * math.pi, 2 * math.pi, 8, 8), 1.2), init)
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({
+            "nx": 8, "ny": 8, "init": {"kind": "csv", "path": str(init)},
+        }))
+        rc = main(["run", "--config", str(cfgfile), "--rescaled", "1",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "max norm" in capsys.readouterr().err
+
+    def test_initial_data_just_above_the_bound_exits_2(self, tmp_path, capsys):
+        # beta + 1e-10 fails the diagnostics' maximum-bound check, so a
+        # rescaled run must not start from it
+        init = tmp_path / "u0.csv"
+        write_field_csv(constant_field(Mesh2D(2 * math.pi, 2 * math.pi, 8, 8), 1.0 + 1e-10), init)
         cfgfile = tmp_path / "c.json"
         cfgfile.write_text(json.dumps({
             "nx": 8, "ny": 8, "init": {"kind": "csv", "path": str(init)},

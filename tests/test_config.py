@@ -7,7 +7,6 @@ import pytest
 
 from etdac.config import (
     ConfigError,
-    build_context,
     build_mesh,
     build_plan,
     build_potential,
@@ -18,7 +17,10 @@ from etdac.config import (
     resolve_config,
     validate_config,
 )
+from etdac import cli
 from etdac.grid import Mesh2D, write_field_csv, constant_field
+from etdac.scheme import make_scheme
+from etdac.stepper import step
 
 
 def args(**kw):
@@ -138,6 +140,26 @@ class TestValidateConfig:
         ({"init": {"kind": "zeros"}}, "init kind"),
         ({"init": {"kind": "random"}}, "seed"),
         ({"init": {"kind": "csv"}}, "path"),
+        ({"nx": "abc"}, "grid sizes"),
+        ({"ny": True}, "grid sizes"),
+        ({"lx": math.inf}, "edge lengths"),
+        ({"eps": math.nan}, "eps"),
+        ({"order": 11}, "order"),
+        ({"order": "3"}, "order"),
+        ({"tau": math.nan}, "tau"),
+        ({"tau": math.inf}, "tau"),
+        ({"t_end": math.nan}, "t_end"),
+        ({"t_end": math.inf}, "t_end"),
+        ({"kappa": math.nan}, "kappa"),
+        ({"kappa": "2"}, "kappa"),
+        ({"kappa": -1.0}, "kappa"),
+        ({"rescaled": "false"}, "rescaled"),
+        ({"potential": {"kind": "fh", "theta": math.nan}}, "theta"),
+        ({"potential": {"kind": "fh", "theta_c": "1.6"}}, "theta"),
+        ({"init": {"kind": "sinprod", "amplitude": "big"}}, "amplitude"),
+        ({"init": {"kind": "random", "seed": "abc"}}, "seed"),
+        ({"init": {"kind": "random", "seed": -1}}, "seed"),
+        ({"init": {"kind": "random", "seed": 1.5}}, "seed"),
     ])
     def test_rejections(self, patch, msg):
         cfg = default_config()
@@ -181,21 +203,31 @@ class TestBuilders:
         with pytest.raises(ConfigError, match="below"):
             effective_kappa(cfg, pot)
 
-    def test_build_plan_and_context(self):
+    def test_build_plan_and_context(self, monkeypatch):
         cfg = default_config()
         cfg.update(nx=16, ny=16, order=3, tau=0.05, rescaled=False)
         pot = build_potential(cfg)
         mesh = build_mesh(cfg)
         plan = build_plan(cfg, mesh, pot)
         assert plan.kappa == pot.kappa_min
-        ctx = build_context(cfg, plan, pot)
-        assert ctx.spec.order == 3
-        assert ctx.tau == 0.05
-        assert ctx.rescaled is False
-        ctx2 = build_context(cfg, plan, pot, order=5, tau=0.01, rescaled=True)
-        assert ctx2.spec.order == 5
-        assert ctx2.tau == 0.01
-        assert ctx2.rescaled is True
+        # the step context comes from the CLI's set-up and _integrate
+        contexts = []
+
+        def spy(ctx, u, **kw):
+            contexts.append(ctx)
+            return step(ctx, u, **kw)
+
+        monkeypatch.setattr(cli, "step", spy)
+        potential, plan2, u0 = cli._setup(cfg)
+        assert plan2.kappa == plan.kappa and np.array_equal(plan2.eigvals, plan.eigvals)
+        assert np.array_equal(u0.values, initial_field(cfg, mesh, pot).values)
+        for order, tau, rescaled in ((3, 0.05, False), (5, 0.01, True)):
+            spec = make_scheme(order, plan2.kappa, cfg["nodes"])
+            cli._integrate(plan2, potential, spec, rescaled, tau, tau, u0, cfg)
+            ctx = contexts[-1]
+            assert ctx.spec.order == order
+            assert ctx.tau == tau
+            assert ctx.rescaled is rescaled
 
 
 class TestInitialField:

@@ -9,7 +9,6 @@ from etdac.grid import (
     Mesh2D,
     constant_field,
     discrete_energy,
-    from_grid,
     inner,
     l2_norm,
     max_norm,
@@ -61,7 +60,7 @@ class TestField:
     def test_from_grid_round_trips(self):
         mesh = Mesh2D(1.0, 1.0, 4, 3)
         g = np.arange(12, dtype=float).reshape(3, 4)
-        u = from_grid(mesh, g)
+        u = Field(mesh, g)
         assert np.array_equal(u.grid(), g)
 
     def test_copy_is_independent(self):
@@ -116,7 +115,7 @@ class TestNorms:
     def test_cosine_mode_orthogonal_to_constants(self):
         mesh = Mesh2D(2 * np.pi, 2 * np.pi, 32, 32)
         x, _ = mesh.cell_centers()
-        u = from_grid(mesh, np.cos(x))
+        u = Field(mesh, np.cos(x))
         assert abs(inner(u, constant_field(mesh, 1.0))) < 1e-12
 
     def test_inner_rejects_mesh_mismatch(self):
@@ -170,7 +169,7 @@ class TestDiscreteEnergy:
     def test_mirror_symmetry_in_x(self, gl):
         mesh = Mesh2D(1.0, 1.0, 6, 5)
         u = random_field(mesh, 5)
-        mirrored = from_grid(mesh, u.grid()[:, ::-1])
+        mirrored = Field(mesh, u.grid()[:, ::-1])
         assert discrete_energy(mirrored, 0.3, gl) == pytest.approx(discrete_energy(u, 0.3, gl), rel=1e-12)
 
     def test_energy_dominates_bulk_term(self, gl):
@@ -219,3 +218,22 @@ class TestFieldCsv:
         write_field_csv(constant_field(mesh, 1.0), path)
         with pytest.raises(ValueError):
             read_field_csv(Mesh2D(1.0, 1.0, 4, 4), path)
+
+    @pytest.mark.parametrize("cells,msg", [
+        (["0,0", "0,0", "0,1", "1,1"], "more than once"),  # (1, 0) missing
+        (["0,0", "1,0", "2,0", "1,1"], "inside"),  # i = nx would wrap to (0, 1)
+        (["0,0", "1,0", "0,-1", "1,1"], "inside"),
+        (["0,0", "0.5,0", "0,1", "1,1"], "integers"),
+    ])
+    def test_read_rejects_bad_cell_indices(self, tmp_path, cells, msg):
+        path = tmp_path / "field.csv"
+        path.write_text("i,j,x,y,u\n" + "".join(f"{c},0.5,0.5,0.25\n" for c in cells))
+        with pytest.raises(ValueError, match=msg):
+            read_field_csv(Mesh2D(1.0, 1.0, 2, 2), path)
+
+    def test_read_rejects_non_finite_values(self, tmp_path):
+        mesh = Mesh2D(1.0, 1.0, 2, 2)
+        path = tmp_path / "field.csv"
+        write_field_csv(Field(mesh, [0.0, np.nan, 0.0, 0.0]), path)
+        with pytest.raises(ValueError, match="finite"):
+            read_field_csv(mesh, path)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from etdac.phi import PhiTable, phi, phi_batch
+from etdac.phi import SMALL_ARG_THRESHOLD, phi, phi_batch
 from etdac.phi import _phi_forward, _phi_reciprocal, _phi_taylor
 from oracles import phi_reference
 
@@ -48,6 +48,10 @@ class TestPhiValues:
                 worst = max(worst, abs(got - want) / max(abs(want), tiny))
         assert worst <= 1e-13
 
+    def test_points_near_the_small_argument_switch(self):
+        for j, z in ((2, -0.75), (3, -1.0), (1, -0.2)):
+            assert phi(j, z) == pytest.approx(phi_reference(j, z), rel=1e-13)
+
 
 class TestPhiInvariants:
     def test_bounded_by_inverse_factorial(self):
@@ -83,9 +87,8 @@ class TestPhiInvariants:
 
     @pytest.mark.parametrize("j", range(1, 11))
     def test_branch_agreement_at_boundaries(self, j):
-        table = PhiTable()
-        small_edge = np.array([-max(table.small_arg_threshold, 0.5 * (j + 1))])
-        a = _phi_taylor(j, small_edge, table.taylor_terms)[0]
+        small_edge = np.array([-max(SMALL_ARG_THRESHOLD, 0.5 * (j + 1))])
+        a = _phi_taylor(j, small_edge)[0]
         b = _phi_forward(j, small_edge)[0]
         assert a == pytest.approx(b, rel=1e-12)
         large_edge = np.array([-2.0 * (j + 1)])
@@ -133,22 +136,3 @@ class TestPhiErrors:
         with pytest.raises(ValueError):
             phi(j, -1.0)
 
-
-class TestPhiTable:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"max_index": 0},
-            {"small_arg_threshold": 0.0},
-            {"small_arg_threshold": 1.5},
-            {"taylor_terms": 24},
-        ],
-    )
-    def test_invalid_parameters_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            PhiTable(**kwargs)
-
-    def test_custom_threshold_stays_accurate(self):
-        table = PhiTable(max_index=3, small_arg_threshold=1.0, taylor_terms=40)
-        for j, z in ((2, -0.75), (3, -1.0), (1, -0.2)):
-            assert table.phi(j, z) == pytest.approx(phi_reference(j, z), rel=1e-13)

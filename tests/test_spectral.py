@@ -5,13 +5,20 @@ import pytest
 
 from conftest import random_field
 from etdac.grid import Field, Mesh2D, constant_field, l2_norm, max_norm
-from etdac.spectral import SpectralPlan, apply_phi, from_spectral, to_spectral
+from etdac.spectral import SpectralPlan, apply_phi
+from etdac.stepper import StageState
 from oracles import DenseOperator, dct2_matrix
 
 
 @pytest.fixture
 def plan8(mesh8):
     return SpectralPlan(mesh8, 0.1, 2.0)
+
+
+def forward(u):
+    """The stepper's forward transform of u: the cached spectrum of a
+    level-0 state with scaling one and N(u_n) = u."""
+    return StageState(0, [], constant_field(u.mesh, 1.0), u).scaled_spectra()[0]
 
 
 class TestSpectralPlan:
@@ -40,17 +47,18 @@ class TestTransforms:
         mesh = Mesh2D(2 * np.pi, np.pi, 8, 6)
         plan = SpectralPlan(mesh, 0.1, 2.0)
         u = random_field(mesh, 0)
-        got = to_spectral(plan, u).grid()
+        got = forward(u)
         want = dct2_matrix(mesh.ny) @ u.grid() @ dct2_matrix(mesh.nx).T
         assert np.max(np.abs(got - want)) < 1e-12
 
     def test_round_trip_identity(self, plan8, mesh8):
+        # phi_0 of s*eigvals rounds to exactly 1 at this s, leaving DCT then inverse
         u = random_field(mesh8, 1)
-        v = from_spectral(plan8, to_spectral(plan8, u))
+        v = apply_phi(plan8, 0, 1e-300, u)
         assert np.max(np.abs(v.values - u.values)) < 1e-13 * max_norm(u)
 
     def test_constant_maps_to_dc_mode_only(self, plan8, mesh8):
-        uh = to_spectral(plan8, constant_field(mesh8, 3.0)).grid()
+        uh = forward(constant_field(mesh8, 3.0))
         off_dc = uh.copy()
         off_dc[0, 0] = 0.0
         assert np.max(np.abs(off_dc)) < 1e-13
@@ -58,14 +66,9 @@ class TestTransforms:
 
     def test_transform_is_an_isometry(self, plan8, mesh8):
         u = random_field(mesh8, 2)
-        uh = to_spectral(plan8, u)
-        h_norm = math.sqrt(mesh8.hx * mesh8.hy) * float(np.linalg.norm(uh.values))
+        uh = forward(u)
+        h_norm = math.sqrt(mesh8.hx * mesh8.hy) * float(np.linalg.norm(uh))
         assert h_norm == pytest.approx(l2_norm(u), rel=1e-13)
-
-    def test_mesh_mismatch_rejected(self, plan8):
-        other = constant_field(Mesh2D(1.0, 1.0, 4, 4), 1.0)
-        with pytest.raises(ValueError):
-            to_spectral(plan8, other)
 
 
 class TestApplyPhi:
@@ -125,3 +128,8 @@ class TestApplyPhi:
             apply_phi(plan8, 0, 0.0, v)
         with pytest.raises(ValueError):
             apply_phi(plan8, 1, -0.1, v)
+
+    def test_mesh_mismatch_rejected(self, plan8):
+        other = constant_field(Mesh2D(1.0, 1.0, 4, 4), 1.0)
+        with pytest.raises(ValueError):
+            apply_phi(plan8, 0, 0.1, other)

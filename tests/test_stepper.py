@@ -189,6 +189,13 @@ class TestStepContext:
         with pytest.raises(ValueError):
             StepContext(plan, gl, spec, 0.1)
 
+    @pytest.mark.parametrize("rescaled", [False, True])
+    def test_rejects_order_above_ten(self, mesh8, gl, rescaled):
+        plan = SpectralPlan(mesh8, 0.1, 2.0)
+        spec = make_scheme(11, 2.0)
+        with pytest.raises(ValueError, match="order"):
+            StepContext(plan, gl, spec, 0.1, rescaled=rescaled)
+
     def test_nonlinearity_peaks_at_kappa_beta(self, mesh8, gl):
         ctx = make_ctx(mesh8, gl, 2, 0.1)
         n = ctx.nonlinearity(np.array([1.0, -1.0, 0.0]))
@@ -339,6 +346,14 @@ class TestStep:
         ctx = make_ctx(mesh8, gl, 2, 0.1, rescaled=True)
         with pytest.raises(ValueError):
             step(ctx, constant_field(mesh8, 1.2))
+
+    def test_rescaled_bound_uses_the_diagnostics_tolerance(self, mesh8, gl):
+        # gl.beta = 1; the check admits what diagnostics flag mbp_ok, no more
+        ctx = make_ctx(mesh8, gl, 2, 0.1, rescaled=True)
+        with pytest.raises(ValueError):
+            step(ctx, constant_field(mesh8, 1.0 + 1e-10))
+        _, diag = step(ctx, constant_field(mesh8, 1.0 + 1e-13))
+        assert diag.mbp_ok
 
     def test_out_of_domain_input_raises_bound_exceeded(self, mesh8, fh):
         ctx = make_ctx(mesh8, fh, 3, 0.1)
