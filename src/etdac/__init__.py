@@ -8,7 +8,7 @@ energy monitoring, and the singular-value step-bound calculator, plus a CLI
 experiment harness.
 """
 
-from .grid import Field, Mesh2D, discrete_energy, inner, l2_norm, max_norm
+from .grid import Field, Mesh2D, discrete_energy, l2_norm, max_norm
 from .phi import phi, phi_batch
 from .potentials import FloryHuggins, GinzburgLandau, compute_beta, compute_kappa_min
 from .scheme import NodeSet, SchemeSpec, make_nodes, make_scheme, sigma_min, tau_max, vandermonde
@@ -28,7 +28,7 @@ from .diagnostics import RunReport, StepDiagnostics, record, write_csv
 __version__ = "0.1.0"
 
 __all__ = [
-    "Field", "Mesh2D", "discrete_energy", "inner", "l2_norm", "max_norm",
+    "Field", "Mesh2D", "discrete_energy", "l2_norm", "max_norm",
     "phi", "phi_batch",
     "FloryHuggins", "GinzburgLandau", "compute_beta", "compute_kappa_min",
     "NodeSet", "SchemeSpec", "make_nodes", "make_scheme", "sigma_min", "tau_max", "vandermonde",

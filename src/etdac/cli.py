@@ -29,6 +29,9 @@ from .stepper import BoundExceeded, NumericalBlowup, StepContext, step
 
 __all__ = ["main"]
 
+# far beyond any run this solver can finish; a larger plan is a mistyped tau
+MAX_STEPS = 10**7
+
 
 def _parse_bool(s: str) -> bool:
     low = s.strip().lower()
@@ -82,7 +85,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _split_steps(t_end: float, tau: float) -> tuple[int, float]:
-    """Number of full tau steps plus the shortened remainder (0 if exact)."""
+    """Number of full tau steps plus the shortened remainder (0 if exact).
+
+    A plan of more than MAX_STEPS steps, or of a non-finite count, is a
+    ConfigError.
+    """
+    if not (tau > 0 and t_end / tau <= MAX_STEPS):
+        raise ConfigError(f"t_end={t_end:g} at tau={tau:g} plans more than {MAX_STEPS} steps")
     m = int(math.floor(t_end / tau + 1e-9))
     rem = t_end - m * tau
     if rem <= 1e-9 * tau:
@@ -98,7 +107,7 @@ def _setup(cfg):
     return potential, plan, initial_field(cfg, mesh, potential)
 
 
-def _integrate(plan, potential, spec, rescaled, tau, t_end, u0, cfg_echo):
+def _integrate(plan, potential, spec, rescaled, tau, t_end, u0):
     """Run to t_end; returns (u, report, error-or-None).
 
     A numerical failure stops the run but keeps the completed records; the
@@ -109,12 +118,12 @@ def _integrate(plan, potential, spec, rescaled, tau, t_end, u0, cfg_echo):
             f"initial data has max norm {max_norm(u0):.6g}, above the bound "
             f"beta={potential.beta:.6g} required for rescaled stepping"
         )
+    m, rem = _split_steps(t_end, tau)
     ctx = StepContext(plan, potential, spec, tau, rescaled=rescaled)
-    report = RunReport(config=cfg_echo)
+    report = RunReport()
     d = record(ctx, 0, u0, None)
     report.append(d)
     prev = d.energy
-    m, rem = _split_steps(t_end, tau)
     u = u0
     i = 0
     try:
@@ -142,7 +151,7 @@ def _outdir(cfg) -> str:
 def cmd_run(cfg, args) -> int:
     potential, plan, u0 = _setup(cfg)
     spec = make_scheme(int(cfg["order"]), plan.kappa, cfg["nodes"])
-    u, report, err = _integrate(plan, potential, spec, cfg["rescaled"], cfg["tau"], cfg["t_end"], u0, cfg)
+    u, report, err = _integrate(plan, potential, spec, cfg["rescaled"], cfg["tau"], cfg["t_end"], u0)
     out = _outdir(cfg)
     write_csv(report, os.path.join(out, "diagnostics.csv"))
     write_field_csv(u, os.path.join(out, "field_final.csv"))
@@ -194,6 +203,7 @@ def cmd_converge(cfg, args) -> int:
     for tau in taus:
         if not (math.isfinite(tau) and tau > 0):
             raise ConfigError(f"tau={tau} in --taus is not finite and positive")
+        _split_steps(t_end, tau)  # refuses an oversized plan before any solve starts
         nsteps = round(t_end / tau)
         if nsteps < 1 or abs(nsteps * tau - t_end) > 1e-9 * max(1.0, t_end):
             raise ConfigError(f"tau={tau} does not divide t_end={t_end}")
@@ -204,7 +214,7 @@ def cmd_converge(cfg, args) -> int:
     potential, plan, u0 = _setup(cfg)
 
     ref_spec = make_scheme(ref_order, plan.kappa, cfg["nodes"])
-    u_ref, _, err = _integrate(plan, potential, ref_spec, cfg["rescaled"], tau_ref, t_end, u0, cfg)
+    u_ref, _, err = _integrate(plan, potential, ref_spec, cfg["rescaled"], tau_ref, t_end, u0)
     if err is not None:
         raise err
     ref_linf = max_norm(u_ref)
@@ -214,7 +224,7 @@ def cmd_converge(cfg, args) -> int:
     rows = []
     prev_errs = None
     for tau in taus:
-        u, _, err = _integrate(plan, potential, spec, cfg["rescaled"], tau, t_end, u0, cfg)
+        u, _, err = _integrate(plan, potential, spec, cfg["rescaled"], tau, t_end, u0)
         if err is not None:
             raise err
         diff = Field(plan.mesh, u.values - u_ref.values)
@@ -263,7 +273,7 @@ def cmd_mbp_test(cfg, args) -> int:
         variant = "rescaled" if rescaled else "standard"
         for order in (3, 5, 7):
             spec = make_scheme(order, plan.kappa, cfg["nodes"])
-            u, report, err = _integrate(plan, potential, spec, rescaled, 1.0, float(steps), u0, cfg)
+            u, report, err = _integrate(plan, potential, spec, rescaled, 1.0, float(steps), u0)
             path = os.path.join(out, f"mbp_{variant}_r{order}.csv")
             write_csv(report, path)
             peak = max(d.max_norm for d in report.series)
@@ -290,7 +300,7 @@ def cmd_energy_test(cfg, args) -> int:
         bound = tau_max(order, plan.kappa, cfg["nodes"], rescaled=True)
         spec = make_scheme(order, plan.kappa, cfg["nodes"])
         for tau in (0.2, 0.1, 0.01):
-            u, report, err = _integrate(plan, potential, spec, True, tau, t_end, u0, cfg)
+            u, report, err = _integrate(plan, potential, spec, True, tau, t_end, u0)
             if err is not None:
                 raise err
             violations = sum(1 for d in report.series if not d.dissipation_ok)

@@ -36,9 +36,8 @@ class StepDiagnostics:
 
 @dataclass
 class RunReport:
-    """Config echo plus the per-step series, including the initial state."""
+    """The per-step series of a run, including the initial state."""
 
-    config: dict
     series: list = field(default_factory=list)
 
     def append(self, diag: StepDiagnostics):

@@ -21,7 +21,6 @@ __all__ = [
     "Field",
     "max_norm",
     "l2_norm",
-    "inner",
     "discrete_energy",
     "write_field_csv",
     "read_field_csv",
@@ -84,27 +83,13 @@ def constant_field(mesh: Mesh2D, c: float) -> Field:
     return Field(mesh, np.full(mesh.ncells, float(c)))
 
 
-def _check_same_mesh(u: Field, v: Field):
-    if u.mesh != v.mesh:
-        raise ValueError(f"fields live on different meshes: {u.mesh} vs {v.mesh}")
-
-
 def max_norm(u: Field) -> float:
     """Discrete maximum norm, max over cells of |u|."""
     return float(np.max(np.abs(u.values)))
 
 
-def inner(u: Field, v: Field) -> float:
-    """Discrete L2 inner product hx*hy * sum(u*v).
-
-    numpy's pairwise summation keeps the reduction order deterministic.
-    """
-    _check_same_mesh(u, v)
-    return u.mesh.hx * u.mesh.hy * float(np.sum(u.values * v.values))
-
-
 def l2_norm(u: Field) -> float:
-    """Discrete L2 norm sqrt(inner(u, u))."""
+    """Discrete L2 norm sqrt(hx*hy * sum(u*u))."""
     return float(np.sqrt(u.mesh.hx * u.mesh.hy * np.sum(u.values * u.values)))
 
 
@@ -130,14 +115,13 @@ def discrete_energy(u: Field, eps: float, potential) -> float:
 
 def write_field_csv(u: Field, path) -> None:
     """Field snapshot: header ``i,j,x,y,u``, one row per cell in storage order."""
-    mesh = u.mesh
-    xg, yg = mesh.cell_centers()
-    g = u.grid()
+    xg, yg = u.mesh.cell_centers()
+    xs = [f"{x:.17g}" for x in xg[0].tolist()]
     with open(path, "w", newline="") as fh:
         fh.write("i,j,x,y,u\n")
-        for j in range(mesh.ny):
-            for i in range(mesh.nx):
-                fh.write(f"{i},{j},{xg[j, i]:.17g},{yg[j, i]:.17g},{g[j, i]:.17g}\n")
+        for j, row in enumerate(u.grid().tolist()):
+            mid, y = f",{j},", f",{yg[j, 0]:.17g},"
+            fh.write("".join(f"{i}{mid}{x}{y}{v:.17g}\n" for i, (x, v) in enumerate(zip(xs, row))))
 
 
 def read_field_csv(mesh: Mesh2D, path) -> Field:

@@ -135,11 +135,9 @@ class SchemeSpec:
     """Order, stabilizer, and the factored cascade systems V_1..V_{r-1}."""
 
     order: int
-    kind: str
     kappa: float
     node_sets: tuple
     systems: tuple
-    sigma_mins: tuple
 
     @property
     def levels(self) -> range:
@@ -154,6 +152,4 @@ def make_scheme(order: int, kappa: float, kind: str = "uniform") -> SchemeSpec:
     if kappa <= 0:
         raise ValueError("kappa must be positive")
     node_sets = tuple(make_nodes(k, kind) for k in range(1, order))
-    systems = tuple(vandermonde(ns) for ns in node_sets)
-    sigmas = tuple(sigma_min(v) for v in systems)
-    return SchemeSpec(order, kind, float(kappa), node_sets, systems, sigmas)
+    return SchemeSpec(order, float(kappa), node_sets, tuple(vandermonde(ns) for ns in node_sets))

@@ -22,14 +22,14 @@ modes produce bit-identical steps whenever the computed a is one everywhere.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.fft
 
 from . import diagnostics
-from .grid import Field, max_norm
+from .grid import Field, Mesh2D, max_norm
 from .phi import phi_batch
 from .scheme import SchemeSpec
 from .spectral import SpectralPlan
@@ -108,65 +108,54 @@ class StepContext:
         return self.potential.f(values) + self.plan.kappa * values
 
 
-@dataclass
 class StageState:
-    """Interpolation polynomial of one cascade level.
+    """Interpolation polynomial of one cascade level, kept as the spectra
+    of its scaled rows.
 
-    coeffs holds c_{level,1..level}; alpha is the pointwise scaling factor
-    (all ones in standard mode); n_base is the unscaled N(u_n) that forms
-    the constant term.
+    poly is (level+1, ncells): row 0 is the unscaled N(u_n) and row m the
+    coefficient c_m of (s/tau)^m.  alpha is the pointwise scaling factor
+    (all ones in standard mode); hats[m] is the transform of alpha*poly[m],
+    so the state's level is len(hats) - 1.
     """
 
-    level: int
-    coeffs: list
-    alpha: Field
-    n_base: Field
-    _hats: list = field(default=None, repr=False)
-
-    def scaled_spectra(self) -> list:
-        """Transforms of alpha*N(u_n) and alpha*c_m, cached per state."""
-        if self._hats is None:
-            mesh = self.n_base.mesh
-            terms = [self.alpha.values * self.n_base.values]
-            terms += [self.alpha.values * c.values for c in self.coeffs]
-            self._hats = [
-                scipy.fft.dctn(t.reshape(mesh.ny, mesh.nx), type=2, norm="ortho") for t in terms
-            ]
-        return self._hats
+    def __init__(self, mesh: Mesh2D, poly: np.ndarray, alpha: Field):
+        self.alpha = alpha
+        self.hats = [
+            scipy.fft.dctn(row.reshape(mesh.ny, mesh.nx), type=2, norm="ortho") for row in alpha.values * poly
+        ]
 
 
-def _make_state(ctx: StepContext, level: int, coeffs: list, n_base: Field) -> StageState:
+def _make_state(ctx: StepContext, poly: np.ndarray) -> StageState:
+    mesh = ctx.plan.mesh
     if ctx.rescaled:
-        alpha = rescale_factor(n_base, coeffs, ctx.kappa_beta)
+        alpha = rescale_factor(mesh, poly, ctx.kappa_beta)
     else:
-        alpha = Field(n_base.mesh, np.ones(n_base.mesh.ncells))
-    return StageState(level, coeffs, alpha, n_base)
+        alpha = Field(mesh, np.ones(mesh.ncells))
+    return StageState(mesh, poly, alpha)
 
 
-def _stage_values(ctx: StepContext, level: int, s: float, u_hat: np.ndarray, state: StageState) -> np.ndarray:
-    """w_level(s) as flat values, from the cached spectra of the state."""
-    hats = state.scaled_spectra()
+def _stage_values(ctx: StepContext, s: float, u_hat: np.ndarray, state: StageState) -> np.ndarray:
+    """w_level(s) as flat values, level = len(state.hats), from the state's spectra."""
+    hats = state.hats
     acc = ctx.phi_grid(0, s) * u_hat
     acc = acc + s * ctx.phi_grid(1, s) * hats[0]
     ratio = s / ctx.tau
     fac = 1.0
-    for m in range(1, level):
+    for m in range(1, len(hats)):
         fac *= m
         acc += (ctx.tau * fac * ratio ** (m + 1)) * ctx.phi_grid(m + 1, s) * hats[m]
     vals = scipy.fft.idctn(acc, type=2, norm="ortho")
-    return vals.reshape(state.n_base.mesh.ncells)
+    return vals.reshape(ctx.plan.mesh.ncells)
 
 
-def evaluate_stage(ctx: StepContext, level: int, s: float, u_n: Field, state: StageState) -> Field:
-    """Evaluate w_level(s) for s in (0, tau] from the level-1 polynomial."""
+def evaluate_stage(ctx: StepContext, s: float, u_n: Field, state: StageState) -> Field:
+    """Evaluate w_level(s) for s in (0, tau], level = len(state.hats)."""
     if not 0.0 < s <= ctx.tau * (1.0 + 1e-12):
         raise ValueError(f"stage time s={s} outside (0, tau]")
-    if state.level != level - 1:
-        raise ValueError(f"state at level {state.level} cannot evaluate stage level {level}")
     if u_n.mesh != ctx.plan.mesh:
         raise ValueError("field mesh does not match the plan's mesh")
     u_hat = scipy.fft.dctn(u_n.grid(), type=2, norm="ortho")
-    return Field(u_n.mesh, _stage_values(ctx, level, s, u_hat, state))
+    return Field(u_n.mesh, _stage_values(ctx, s, u_hat, state))
 
 
 def step(ctx: StepContext, u_n: Field, *, n: int = 1, t: float = None, prev_energy: float = None):
@@ -191,27 +180,27 @@ def step(ctx: StepContext, u_n: Field, *, n: int = 1, t: float = None, prev_ener
     if prev_energy is None:
         prev_energy = diagnostics.energy_or_inf(ctx, u_n)
 
-    n_base = Field(mesh, n0)
-    state = _make_state(ctx, 0, [], n_base)
+    state = _make_state(ctx, n0[None, :])
     u_hat = scipy.fft.dctn(u_n.grid(), type=2, norm="ortho")
 
     for j in ctx.spec.levels:
         nodes = ctx.spec.node_sets[j - 1].nodes
-        d = np.empty((j, mesh.ncells))
+        poly = np.empty((j + 1, mesh.ncells))
+        poly[0] = n0
         for k in range(1, j + 1):
-            w = _stage_values(ctx, j, nodes[k] * ctx.tau, u_hat, state)
+            w = _stage_values(ctx, nodes[k] * ctx.tau, u_hat, state)
             if not np.all(np.isfinite(w)):
                 raise NumericalBlowup(j, k)
             try:
-                d[k - 1] = ctx.nonlinearity(w)
+                poly[k] = ctx.nonlinearity(w)
             except ValueError as exc:
                 raise BoundExceeded(j, k) from exc
-            d[k - 1] -= n0
-        c = ctx.spec.systems[j - 1].solve(d)
-        state = _make_state(ctx, j, [Field(mesh, c[m]) for m in range(j)], n_base)
+            poly[k] -= n0
+        poly[1:] = ctx.spec.systems[j - 1].solve(poly[1:])
+        state = _make_state(ctx, poly)
 
     r = ctx.spec.order
-    out = _stage_values(ctx, r, ctx.tau, u_hat, state)
+    out = _stage_values(ctx, ctx.tau, u_hat, state)
     if not np.all(np.isfinite(out)):
         raise NumericalBlowup(r, r)
     u_next = Field(mesh, out)
@@ -220,43 +209,36 @@ def step(ctx: StepContext, u_n: Field, *, n: int = 1, t: float = None, prev_ener
     return u_next, diag
 
 
-def rescale_factor(n_base: Field, coeffs, kappa_beta: float) -> Field:
+def rescale_factor(mesh: Mesh2D, poly: np.ndarray, kappa_beta: float) -> Field:
     """Pointwise a = min(kappa_beta / max_{s in [0,1]} |P(x, s)|, 1).
 
-    P(x, s) = n_base(x) + sum_m coeffs[m-1](x) s^m on the unit interval.
-    Two certificates precede the exact maximization: the coefficient l1
-    bound, then the Bernstein coefficient bound (a polynomial on [0, 1]
-    stays inside the convex hull of its Bernstein coefficients).  Both only
-    ever certify a = 1, so the exact companion-matrix maximum still decides
-    every point that might need shrinking.
+    poly is (d+1, ncells) with P(x, s) = sum_m poly[m](x) s^m on the unit
+    interval.  Two certificates precede the exact maximization: the
+    coefficient l1 bound, then the Bernstein coefficient bound (a polynomial
+    on [0, 1] stays inside the convex hull of its Bernstein coefficients).
+    Both only ever certify a = 1, so the exact companion-matrix maximum
+    still decides every point that might need shrinking.
     """
     if kappa_beta <= 0:
         raise ValueError("kappa_beta must be positive")
-    mesh = n_base.mesh
-    stack = np.stack([n_base.values] + [c.values for c in coeffs])
     alpha = np.ones(mesh.ncells)
-    suspicious = np.nonzero(np.sum(np.abs(stack), axis=0) > kappa_beta)[0]
-    if suspicious.size and stack.shape[0] > 1:
-        bern = np.abs(_bernstein_matrix(stack.shape[0] - 1) @ stack[:, suspicious])
+    suspicious = np.nonzero(np.sum(np.abs(poly), axis=0) > kappa_beta)[0]
+    if suspicious.size and poly.shape[0] > 1:
+        bern = np.abs(_bernstein_matrix(poly.shape[0] - 1) @ poly[:, suspicious])
         suspicious = suspicious[bern.max(axis=0) > kappa_beta]
     if suspicious.size:
-        m, _ = _poly_abs_max_many(stack[:, suspicious])
+        m, _ = _poly_abs_max_many(poly[:, suspicious])
         alpha[suspicious] = np.minimum(kappa_beta / np.maximum(m, 1e-300), 1.0)
     return Field(mesh, alpha)
 
 
-_BERNSTEIN_CACHE: dict[int, np.ndarray] = {}
-
-
+@functools.cache
 def _bernstein_matrix(d: int) -> np.ndarray:
     """Monomial-to-Bernstein change of basis on [0, 1] for degree d."""
-    mat = _BERNSTEIN_CACHE.get(d)
-    if mat is None:
-        mat = np.zeros((d + 1, d + 1))
-        for i in range(d + 1):
-            for k in range(i + 1):
-                mat[i, k] = math.comb(i, k) / math.comb(d, k)
-        _BERNSTEIN_CACHE[d] = mat
+    mat = np.zeros((d + 1, d + 1))
+    for i in range(d + 1):
+        for k in range(i + 1):
+            mat[i, k] = math.comb(i, k) / math.comb(d, k)
     return mat
 
 

@@ -120,6 +120,13 @@ class TestExitCodes:
         ["run", {"rescaled": "false"}],
         ["run", {"init": {"kind": "random", "seed": "abc"}}],
         ["tables", "--kappa", "0"],
+        # step plans past MAX_STEPS, or with a count that overflows to inf
+        ["run", "--grid", "8", "--tau", "1e-300", "--t-end", "0.1"],
+        ["run", "--grid", "8", "--tau", "1e-320"],
+        ["run", "--grid", "8", "--t-end", "1e300"],
+        ["converge", "--grid", "8", "--taus", "1e-300,2e-300,4e-300"],
+        ["converge", "--grid", "8", "--taus", "1e-320,2e-320,4e-320"],
+        ["energy-test", "--grid", "8", "--t-end", "1e300"],
     ])
     def test_config_errors_exit_2(self, tmp_path, argv, capsys):
         if isinstance(argv[-1], dict):

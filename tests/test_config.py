@@ -223,7 +223,7 @@ class TestBuilders:
         assert np.array_equal(u0.values, initial_field(cfg, mesh, pot).values)
         for order, tau, rescaled in ((3, 0.05, False), (5, 0.01, True)):
             spec = make_scheme(order, plan2.kappa, cfg["nodes"])
-            cli._integrate(plan2, potential, spec, rescaled, tau, tau, u0, cfg)
+            cli._integrate(plan2, potential, spec, rescaled, tau, tau, u0)
             ctx = contexts[-1]
             assert ctx.spec.order == order
             assert ctx.tau == tau

@@ -81,14 +81,14 @@ class TestRunReport:
         return StepDiagnostics(n, 0.1 * n, 1.0, 0.5, 1.0, diss, mbp)
 
     def test_summary_all_clean(self):
-        rep = RunReport({}, [self.mk(i, True, True) for i in range(4)])
+        rep = RunReport([self.mk(i, True, True) for i in range(4)])
         s = rep.summary()
         assert s["first_dissipation_violation"] is None
         assert s["first_mbp_violation"] is None
         assert s["final_energy"] == 1.0
 
     def test_summary_first_violations(self):
-        rep = RunReport({})
+        rep = RunReport()
         rep.append(self.mk(0, True, True))
         rep.append(self.mk(1, False, True))
         rep.append(self.mk(2, False, False))
@@ -97,7 +97,7 @@ class TestRunReport:
         assert s["first_mbp_violation"] == 2
 
     def test_summary_empty_series(self):
-        s = RunReport({}).summary()
+        s = RunReport().summary()
         assert s["final_energy"] is None
         assert s["first_dissipation_violation"] is None
 
@@ -106,7 +106,7 @@ class TestWriteCsv:
     HEADER = "n,t,energy,max_norm,alpha_min,dissipation_ok,mbp_ok"
 
     def test_header_and_flag_encoding(self, tmp_path):
-        rep = RunReport({})
+        rep = RunReport()
         rep.append(StepDiagnostics(0, 0.0, 2.5, 0.5, 1.0, True, True))
         rep.append(StepDiagnostics(1, 0.1, 2.4, 0.6, 0.9, False, True))
         path = tmp_path / "diag.csv"
@@ -119,7 +119,7 @@ class TestWriteCsv:
 
     def test_floats_roundtrip_exactly(self, tmp_path):
         vals = (0.1 + 0.2, 1.0 / 3.0, math.pi**2, 1e-300)
-        rep = RunReport({})
+        rep = RunReport()
         rep.append(StepDiagnostics(2, vals[0], vals[1], vals[2], vals[3], True, False))
         path = tmp_path / "diag.csv"
         write_csv(rep, path)
@@ -129,7 +129,7 @@ class TestWriteCsv:
             assert float(text) == want
 
     def test_infinite_energy_written_as_inf(self, tmp_path):
-        rep = RunReport({})
+        rep = RunReport()
         rep.append(StepDiagnostics(0, 0.0, math.inf, 1.5, 1.0, True, False))
         path = tmp_path / "diag.csv"
         write_csv(rep, path)
@@ -139,10 +139,10 @@ class TestWriteCsv:
 
     def test_empty_series_writes_header_only(self, tmp_path):
         path = tmp_path / "diag.csv"
-        write_csv(RunReport({}), path)
+        write_csv(RunReport(), path)
         assert path.read_text() == self.HEADER + "\n"
 
     def test_unwritable_path_raises_oserror_with_path(self, tmp_path):
         target = tmp_path / "missing_dir" / "diag.csv"
         with pytest.raises(OSError, match="missing_dir"):
-            write_csv(RunReport({}), target)
+            write_csv(RunReport(), target)

@@ -210,11 +210,6 @@ class TestMakeScheme:
         assert all(isinstance(v, Vandermonde) for v in spec.systems)
         assert [ns.r for ns in spec.node_sets] == [1, 2, 3, 4]
 
-    def test_sigma_mins_match_systems(self):
-        spec = make_scheme(4, 2.0, "chebyshev")
-        for s, v in zip(spec.sigma_mins, spec.systems):
-            assert s == pytest.approx(sigma_min(v), rel=1e-14)
-
     def test_order_one_has_no_systems(self):
         spec = make_scheme(1, 2.0)
         assert list(spec.levels) == []

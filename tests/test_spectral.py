@@ -18,7 +18,7 @@ def plan8(mesh8):
 def forward(u):
     """The stepper's forward transform of u: the cached spectrum of a
     level-0 state with scaling one and N(u_n) = u."""
-    return StageState(0, [], constant_field(u.mesh, 1.0), u).scaled_spectra()[0]
+    return StageState(u.mesh, u.values[None, :], constant_field(u.mesh, 1.0)).hats[0]
 
 
 class TestSpectralPlan:

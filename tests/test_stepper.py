@@ -31,6 +31,19 @@ def ones_field(mesh):
     return constant_field(mesh, 1.0)
 
 
+def stacked(n0, coeffs):
+    """(level+1, ncells) polynomial array: N(u_n), then c_1..c_level."""
+    return np.stack([n0.values] + [c.values for c in coeffs])
+
+
+def make_state(n0, coeffs, alpha):
+    return StageState(n0.mesh, stacked(n0, coeffs), alpha)
+
+
+def rescale(n0, coeffs, kappa_beta):
+    return rescale_factor(n0.mesh, stacked(n0, coeffs), kappa_beta)
+
+
 class LinearDrift:
     """Test hook f(u) = -kappa u, so the stabilized nonlinearity vanishes."""
 
@@ -117,23 +130,23 @@ class TestRescaleFactor:
 
     def test_in_bound_constant_gives_unit_factor(self):
         n = constant_field(self.mesh, 1.5)
-        alpha = rescale_factor(n, [], 2.0)
+        alpha = rescale(n, [], 2.0)
         assert np.all(alpha.values == 1.0)
 
     def test_twice_the_bound_gives_half(self):
         n = constant_field(self.mesh, 4.0)
-        alpha = rescale_factor(n, [], 2.0)
+        alpha = rescale(n, [], 2.0)
         assert np.all(alpha.values == 0.5)
 
     def test_zero_polynomial_gives_unit_factor(self):
         n = constant_field(self.mesh, 0.0)
-        alpha = rescale_factor(n, [constant_field(self.mesh, 0.0)], 2.0)
+        alpha = rescale(n, [constant_field(self.mesh, 0.0)], 2.0)
         assert np.all(alpha.values == 1.0)
 
     def test_mixed_points(self):
         vals = np.ones(16)
         vals[3] = 10.0
-        alpha = rescale_factor(Field(self.mesh, vals), [], 2.0)
+        alpha = rescale(Field(self.mesh, vals), [], 2.0)
         assert alpha.values[3] == pytest.approx(0.2, rel=1e-15)
         mask = np.ones(16, dtype=bool)
         mask[3] = False
@@ -146,7 +159,7 @@ class TestRescaleFactor:
         kb = 1.3
         n = Field(self.mesh, rng.uniform(-3, 3, 16))
         coeffs = [Field(self.mesh, rng.uniform(-3, 3, 16)) for _ in range(degree)]
-        alpha = rescale_factor(n, coeffs, kb)
+        alpha = rescale(n, coeffs, kb)
         assert np.all(alpha.values > 0.0)
         assert np.all(alpha.values <= 1.0)
         sigma = np.linspace(0.0, 1.0, 64)[None, :]
@@ -159,7 +172,7 @@ class TestRescaleFactor:
         kb = 0.9
         n = Field(self.mesh, rng.uniform(-2, 2, 16))
         coeffs = [Field(self.mesh, rng.uniform(-2, 2, 16)) for _ in range(3)]
-        alpha = rescale_factor(n, coeffs, kb)
+        alpha = rescale(n, coeffs, kb)
         for p in range(16):
             m, _ = polynomial_abs_max([n.values[p]] + [c.values[p] for c in coeffs])
             want = min(kb / m, 1.0) if m > 0 else 1.0
@@ -167,7 +180,7 @@ class TestRescaleFactor:
 
     def test_nonpositive_bound_rejected(self):
         with pytest.raises(ValueError):
-            rescale_factor(constant_field(self.mesh, 1.0), [], 0.0)
+            rescale(constant_field(self.mesh, 1.0), [], 0.0)
 
 
 class TestStepContext:
@@ -213,9 +226,9 @@ class TestEvaluateStage:
         ctx = make_ctx(mesh8, gl, 2, 0.2)
         u = sinprod(mesh8, 0.4)
         n0 = Field(mesh8, ctx.nonlinearity(u.values))
-        state = StageState(0, [], ones_field(mesh8), n0)
+        state = make_state(n0, [], ones_field(mesh8))
         s = 0.13
-        got = evaluate_stage(ctx, 1, s, u, state)
+        got = evaluate_stage(ctx, s, u, state)
         want = apply_phi(ctx.plan, 0, s, u).values + s * apply_phi(ctx.plan, 1, s, n0).values
         assert np.max(np.abs(got.values - want)) < 1e-13
 
@@ -229,9 +242,9 @@ class TestEvaluateStage:
         n0 = Field(mesh8, ctx.nonlinearity(u.values))
         coeffs = [Field(mesh8, rng.uniform(-0.5, 0.5, mesh8.ncells)) for _ in range(2)]
         alpha = constant_field(mesh8, rescale_const)
-        state = StageState(2, coeffs, alpha, n0)
+        state = make_state(n0, coeffs, alpha)
         s = s_frac * tau
-        got = evaluate_stage(ctx, 3, s, u, state)
+        got = evaluate_stage(ctx, s, u, state)
         want = duhamel_stage(
             mesh8, 0.1, ctx.plan.kappa, u.values,
             rescale_const * n0.values,
@@ -242,18 +255,11 @@ class TestEvaluateStage:
     def test_stage_time_domain_enforced(self, mesh8, gl):
         ctx = make_ctx(mesh8, gl, 2, 0.2)
         u = sinprod(mesh8, 0.4)
-        state = StageState(0, [], ones_field(mesh8), Field(mesh8, ctx.nonlinearity(u.values)))
+        state = make_state(Field(mesh8, ctx.nonlinearity(u.values)), [], ones_field(mesh8))
         with pytest.raises(ValueError):
-            evaluate_stage(ctx, 1, 0.0, u, state)
+            evaluate_stage(ctx, 0.0, u, state)
         with pytest.raises(ValueError):
-            evaluate_stage(ctx, 1, 0.3, u, state)
-
-    def test_state_level_must_precede_stage_level(self, mesh8, gl):
-        ctx = make_ctx(mesh8, gl, 3, 0.2)
-        u = sinprod(mesh8, 0.4)
-        state = StageState(0, [], ones_field(mesh8), Field(mesh8, ctx.nonlinearity(u.values)))
-        with pytest.raises(ValueError):
-            evaluate_stage(ctx, 3, 0.1, u, state)
+            evaluate_stage(ctx, 0.3, u, state)
 
 
 def replicate_cascade(ctx, u):
@@ -261,24 +267,22 @@ def replicate_cascade(ctx, u):
     mesh = u.mesh
     n0 = Field(mesh, ctx.nonlinearity(u.values))
 
-    def scaled(coeffs):
-        if ctx.rescaled:
-            return rescale_factor(n0, coeffs, ctx.kappa_beta)
-        return ones_field(mesh)
+    def state_of(coeffs):
+        alpha = rescale(n0, coeffs, ctx.kappa_beta) if ctx.rescaled else ones_field(mesh)
+        return make_state(n0, coeffs, alpha)
 
-    state = StageState(0, [], scaled([]), n0)
+    state = state_of([])
     stages = []
     for j in ctx.spec.levels:
         nodes = ctx.spec.node_sets[j - 1].nodes
         d = np.empty((j, mesh.ncells))
         for k in range(1, j + 1):
-            w = evaluate_stage(ctx, j, nodes[k] * ctx.tau, u, state)
+            w = evaluate_stage(ctx, nodes[k] * ctx.tau, u, state)
             stages.append(w)
             d[k - 1] = ctx.nonlinearity(w.values) - n0.values
         c = ctx.spec.systems[j - 1].solve(d)
-        coeffs = [Field(mesh, c[m]) for m in range(j)]
-        state = StageState(j, coeffs, scaled(coeffs), n0)
-    final = evaluate_stage(ctx, ctx.spec.order, ctx.tau, u, state)
+        state = state_of([Field(mesh, c[m]) for m in range(j)])
+    final = evaluate_stage(ctx, ctx.tau, u, state)
     stages.append(final)
     return final, stages
 
