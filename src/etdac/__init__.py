@@ -11,7 +11,7 @@ experiment harness.
 from .grid import Field, Mesh2D, discrete_energy, l2_norm, max_norm
 from .phi import phi, phi_batch
 from .potentials import FloryHuggins, GinzburgLandau, compute_beta, compute_kappa_min
-from .scheme import NodeSet, SchemeSpec, make_nodes, make_scheme, sigma_min, tau_max, vandermonde
+from .scheme import NodeSet, SchemeSpec, Vandermonde, make_nodes, make_scheme, sigma_min, tau_max
 from .spectral import SpectralPlan, apply_phi
 from .stepper import (
     BoundExceeded,
@@ -31,7 +31,7 @@ __all__ = [
     "Field", "Mesh2D", "discrete_energy", "l2_norm", "max_norm",
     "phi", "phi_batch",
     "FloryHuggins", "GinzburgLandau", "compute_beta", "compute_kappa_min",
-    "NodeSet", "SchemeSpec", "make_nodes", "make_scheme", "sigma_min", "tau_max", "vandermonde",
+    "NodeSet", "SchemeSpec", "Vandermonde", "make_nodes", "make_scheme", "sigma_min", "tau_max",
     "SpectralPlan", "apply_phi",
     "BoundExceeded", "NumericalBlowup", "StageState", "StepContext",
     "evaluate_stage", "polynomial_abs_max", "rescale_factor", "step",

@@ -24,7 +24,7 @@ from .config import (
 )
 from .diagnostics import MBP_TOL, RunReport, record, write_csv
 from .grid import Field, l2_norm, max_norm, write_field_csv
-from .scheme import make_nodes, make_scheme, sigma_min, tau_max, vandermonde
+from .scheme import Vandermonde, make_nodes, make_scheme, sigma_min, tau_max
 from .stepper import BoundExceeded, NumericalBlowup, StepContext, step
 
 __all__ = ["main"]
@@ -203,9 +203,9 @@ def cmd_converge(cfg, args) -> int:
     for tau in taus:
         if not (math.isfinite(tau) and tau > 0):
             raise ConfigError(f"tau={tau} in --taus is not finite and positive")
-        _split_steps(t_end, tau)  # refuses an oversized plan before any solve starts
-        nsteps = round(t_end / tau)
-        if nsteps < 1 or abs(nsteps * tau - t_end) > 1e-9 * max(1.0, t_end):
+        # the rule _integrate steps by, so every solve takes whole steps of tau
+        m, rem = _split_steps(t_end, tau)
+        if m < 1 or rem:
             raise ConfigError(f"tau={tau} does not divide t_end={t_end}")
 
     order = int(cfg["order"])
@@ -323,7 +323,7 @@ def cmd_tables(cfg, args) -> int:
         fh.write("r,kind,sigma_min\n")
         for kind in ("uniform", "chebyshev"):
             for r in range(1, 11):
-                s = sigma_min(vandermonde(make_nodes(r, kind)))
+                s = sigma_min(Vandermonde(make_nodes(r, kind)))
                 fh.write(f"{r},{kind},{s:.17g}\n")
     p2 = os.path.join(out, "table_tau_max.csv")
     with open(p2, "w", newline="") as fh:

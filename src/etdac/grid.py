@@ -75,13 +75,6 @@ class Field:
         """(ny, nx) view of the values; entry [j, i] is cell (i, j)."""
         return self.values.reshape(self.mesh.ny, self.mesh.nx)
 
-    def copy(self) -> "Field":
-        return Field(self.mesh, self.values.copy())
-
-
-def constant_field(mesh: Mesh2D, c: float) -> Field:
-    return Field(mesh, np.full(mesh.ncells, float(c)))
-
 
 def max_norm(u: Field) -> float:
     """Discrete maximum norm, max over cells of |u|."""

@@ -127,7 +127,7 @@ def compute_kappa_min(p) -> float:
     Both wells have f' monotone in xi^2, so the maximum is attained at
     xi = 0 or xi = +-beta.
     """
-    beta = p.beta if hasattr(p, "beta") else compute_beta(p)
+    beta = p.beta
     if p.kind == "gl":
         return max(abs(1.0 - 3.0 * beta * beta), 1.0)
     return max(abs(p.theta_c - p.theta), abs(p.theta / (1.0 - beta * beta) - p.theta_c))

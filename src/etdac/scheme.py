@@ -20,7 +20,6 @@ __all__ = [
     "NodeSet",
     "make_nodes",
     "Vandermonde",
-    "vandermonde",
     "sigma_min",
     "tau_max",
     "SchemeSpec",
@@ -91,19 +90,16 @@ class Vandermonde:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve V c = rhs; rhs may stack many systems along axis 1.
 
-        Two steps of fixed-precision iterative refinement keep the residual
-        near roundoff even at r = 10, where the condition number reaches
-        1e8 and a bare solve would leave residuals around 1e-9.
+        Two sweeps of fixed-precision iterative refinement follow.  On
+        smooth right-hand sides, the kind the cascade produces, they take
+        the residual from about 1e-10 (r = 9, 10) to roundoff.  On random
+        ones at r = 9, where cond(V) is 1.3e7, the relative residual stays
+        near 5e-10 bare and 3e-10 refined: refinement stalls after one sweep.
         """
         c = self._inv @ rhs
         for _ in range(2):
             c += self._inv @ (rhs - self.matrix @ c)
         return c
-
-
-def vandermonde(nodeset: NodeSet) -> Vandermonde:
-    """Build and factor the r x r system for a node set."""
-    return Vandermonde(nodeset)
 
 
 def sigma_min(m) -> float:
@@ -126,7 +122,7 @@ def tau_max(r: int, kappa: float, kind: str = "uniform", rescaled: bool = False)
     if r == 1:
         return math.inf
     c = 10.0 if rescaled else 4.0
-    worst = min(sigma_min(vandermonde(make_nodes(k, kind))) / k for k in range(1, r))
+    worst = min(sigma_min(Vandermonde(make_nodes(k, kind))) / k for k in range(1, r))
     return worst / (c * kappa)
 
 
@@ -152,4 +148,4 @@ def make_scheme(order: int, kappa: float, kind: str = "uniform") -> SchemeSpec:
     if kappa <= 0:
         raise ValueError("kappa must be positive")
     node_sets = tuple(make_nodes(k, kind) for k in range(1, order))
-    return SchemeSpec(order, float(kappa), node_sets, tuple(vandermonde(ns) for ns in node_sets))
+    return SchemeSpec(order, float(kappa), node_sets, tuple(Vandermonde(ns) for ns in node_sets))

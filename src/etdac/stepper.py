@@ -71,8 +71,9 @@ class NumericalBlowup(RuntimeError):
 class StepContext:
     """Everything a repeated fixed-tau step needs, with cached phi grids.
 
-    The stage times a_{j,k} tau are step-invariant, so the spectral grids
-    phi_m(s lambda) are computed once per (m, s) and reused across steps.
+    The stage times a_{j,k} tau are step-invariant, so each grid
+    phi_j(s lambda), times its stage-formula scalar, is computed once per
+    (j, s) and reused across steps.
     """
 
     def __init__(self, plan: SpectralPlan, potential, spec: SchemeSpec, tau: float, rescaled: bool = False):
@@ -95,11 +96,19 @@ class StepContext:
         self._phi_grids: dict[tuple[int, float], np.ndarray] = {}
 
     def phi_grid(self, j: int, s: float) -> np.ndarray:
-        """phi_j(s * eigvals) as a (ny, nx) array, memoized on (j, s)."""
+        """c * phi_j(s * eigvals) as a (ny, nx) array, memoized on (j, s).
+
+        c is the scalar of phi_j in the stage formula: 1 for j = 0, s for
+        j = 1 and tau (j-1)! (s/tau)^j for j >= 2.
+        """
         key = (j, float(s))
         grid = self._phi_grids.get(key)
         if grid is None:
             grid = phi_batch(j, s * self.plan.eigvals)
+            if j == 1:
+                grid *= s
+            elif j > 1:
+                grid *= self.tau * math.factorial(j - 1) * (s / self.tau) ** j
             self._phi_grids[key] = grid
         return grid
 
@@ -113,38 +122,40 @@ class StageState:
     of its scaled rows.
 
     poly is (level+1, ncells): row 0 is the unscaled N(u_n) and row m the
-    coefficient c_m of (s/tau)^m.  alpha is the pointwise scaling factor
-    (all ones in standard mode); hats[m] is the transform of alpha*poly[m],
-    so the state's level is len(hats) - 1.
+    coefficient c_m of (s/tau)^m.  alpha is the pointwise scaling factor,
+    None where it is one at every point; hats[m] is the transform of
+    alpha*poly[m], so the state's level is len(hats) - 1.  hat0, when
+    given, is that transform of row 0, already computed.
     """
 
-    def __init__(self, mesh: Mesh2D, poly: np.ndarray, alpha: Field):
+    def __init__(self, mesh: Mesh2D, poly: np.ndarray, alpha: Field = None, hat0: np.ndarray = None):
         self.alpha = alpha
-        self.hats = [
-            scipy.fft.dctn(row.reshape(mesh.ny, mesh.nx), type=2, norm="ortho") for row in alpha.values * poly
-        ]
+        rows = poly if alpha is None else alpha.values * poly
+        if hat0 is None:
+            hat0 = _dct(mesh, rows[0])
+        self.hats = [hat0] + [_dct(mesh, row) for row in rows[1:]]
 
 
-def _make_state(ctx: StepContext, poly: np.ndarray) -> StageState:
+def _dct(mesh: Mesh2D, values: np.ndarray) -> np.ndarray:
+    return scipy.fft.dctn(values.reshape(mesh.ny, mesh.nx), type=2, norm="ortho")
+
+
+def _make_state(ctx: StepContext, poly: np.ndarray, n0_hat) -> StageState:
+    """The level's state.  Where alpha is one at every point, 1.0 * N(u_n)
+    is N(u_n), so the step's one transform of it, n0_hat(), is row 0's."""
     mesh = ctx.plan.mesh
-    if ctx.rescaled:
-        alpha = rescale_factor(mesh, poly, ctx.kappa_beta)
-    else:
-        alpha = Field(mesh, np.ones(mesh.ncells))
+    alpha = rescale_factor(mesh, poly, ctx.kappa_beta) if ctx.rescaled else None
+    if alpha is None or alpha.values.min() == 1.0:
+        return StageState(mesh, poly, hat0=n0_hat())
     return StageState(mesh, poly, alpha)
 
 
 def _stage_values(ctx: StepContext, s: float, u_hat: np.ndarray, state: StageState) -> np.ndarray:
     """w_level(s) as flat values, level = len(state.hats), from the state's spectra."""
-    hats = state.hats
     acc = ctx.phi_grid(0, s) * u_hat
-    acc = acc + s * ctx.phi_grid(1, s) * hats[0]
-    ratio = s / ctx.tau
-    fac = 1.0
-    for m in range(1, len(hats)):
-        fac *= m
-        acc += (ctx.tau * fac * ratio ** (m + 1)) * ctx.phi_grid(m + 1, s) * hats[m]
-    vals = scipy.fft.idctn(acc, type=2, norm="ortho")
+    for m, hat in enumerate(state.hats):
+        acc += ctx.phi_grid(m + 1, s) * hat
+    vals = scipy.fft.idctn(acc, type=2, norm="ortho", overwrite_x=True)
     return vals.reshape(ctx.plan.mesh.ncells)
 
 
@@ -154,8 +165,7 @@ def evaluate_stage(ctx: StepContext, s: float, u_n: Field, state: StageState) ->
         raise ValueError(f"stage time s={s} outside (0, tau]")
     if u_n.mesh != ctx.plan.mesh:
         raise ValueError("field mesh does not match the plan's mesh")
-    u_hat = scipy.fft.dctn(u_n.grid(), type=2, norm="ortho")
-    return Field(u_n.mesh, _stage_values(ctx, s, u_hat, state))
+    return Field(u_n.mesh, _stage_values(ctx, s, _dct(u_n.mesh, u_n.values), state))
 
 
 def step(ctx: StepContext, u_n: Field, *, n: int = 1, t: float = None, prev_energy: float = None):
@@ -180,8 +190,9 @@ def step(ctx: StepContext, u_n: Field, *, n: int = 1, t: float = None, prev_ener
     if prev_energy is None:
         prev_energy = diagnostics.energy_or_inf(ctx, u_n)
 
-    state = _make_state(ctx, n0[None, :])
-    u_hat = scipy.fft.dctn(u_n.grid(), type=2, norm="ortho")
+    n0_hat = functools.cache(lambda: _dct(mesh, n0))
+    state = _make_state(ctx, n0[None, :], n0_hat)
+    u_hat = _dct(mesh, u_n.values)
 
     for j in ctx.spec.levels:
         nodes = ctx.spec.node_sets[j - 1].nodes
@@ -197,14 +208,14 @@ def step(ctx: StepContext, u_n: Field, *, n: int = 1, t: float = None, prev_ener
                 raise BoundExceeded(j, k) from exc
             poly[k] -= n0
         poly[1:] = ctx.spec.systems[j - 1].solve(poly[1:])
-        state = _make_state(ctx, poly)
+        state = _make_state(ctx, poly, n0_hat)
 
     r = ctx.spec.order
     out = _stage_values(ctx, ctx.tau, u_hat, state)
     if not np.all(np.isfinite(out)):
         raise NumericalBlowup(r, r)
     u_next = Field(mesh, out)
-    alpha_min = float(np.min(state.alpha.values))
+    alpha_min = 1.0 if state.alpha is None else float(np.min(state.alpha.values))
     diag = diagnostics.record(ctx, n, u_next, prev_energy, alpha_min=alpha_min, t=t)
     return u_next, diag
 

@@ -15,7 +15,7 @@ from conftest import random_field, sinprod
 from etdac.grid import Field, Mesh2D, discrete_energy, l2_norm, max_norm
 from etdac.phi import phi_batch
 from etdac.potentials import FloryHuggins, GinzburgLandau
-from etdac.scheme import make_nodes, make_scheme, sigma_min, tau_max, vandermonde
+from etdac.scheme import Vandermonde, make_nodes, make_scheme, sigma_min, tau_max
 from etdac.spectral import SpectralPlan, apply_phi
 from etdac.stepper import StepContext, polynomial_abs_max, step
 from oracles import DenseOperator, brute_poly_max_many, dense_etdrk_step, phi_reference
@@ -58,7 +58,7 @@ def test_criterion_01_minimum_singular_values(capsys):
     ok = True
     for kind, golden in GOLDEN_SIGMA_MIN.items():
         for r in range(1, 11):
-            got = sig4(sigma_min(vandermonde(make_nodes(r, kind))))
+            got = sig4(sigma_min(Vandermonde(make_nodes(r, kind))))
             ok = ok and got == golden[r - 1]
     elapsed = time.perf_counter() - t0
     report(capsys, 1, "all 20 node-family minimum singular values match "

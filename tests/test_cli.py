@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from etdac import cli
 from etdac.cli import main
-from etdac.grid import Mesh2D, constant_field, write_field_csv
-from etdac.scheme import make_nodes, sigma_min, tau_max, vandermonde
+from etdac.grid import Field, Mesh2D, write_field_csv
+from etdac.scheme import Vandermonde, make_nodes, sigma_min, tau_max
 
 
 def read_rows(path):
@@ -60,7 +61,7 @@ class TestRun:
 
     def test_uniform_state_is_stationary(self, tmp_path):
         init = tmp_path / "u0.csv"
-        write_field_csv(constant_field(Mesh2D(2 * math.pi, 2 * math.pi, 16, 16), 1.0), init)
+        write_field_csv(Field(Mesh2D(2 * math.pi, 2 * math.pi, 16, 16), np.full(256, 1.0)), init)
         cfgfile = tmp_path / "c.json"
         cfgfile.write_text(json.dumps({
             "nx": 16, "ny": 16, "tau": 0.2, "t_end": 1.0,
@@ -156,7 +157,7 @@ class TestExitCodes:
 
     def test_rescaled_with_oversized_initial_data_exits_2(self, tmp_path, capsys):
         init = tmp_path / "u0.csv"
-        write_field_csv(constant_field(Mesh2D(2 * math.pi, 2 * math.pi, 8, 8), 1.2), init)
+        write_field_csv(Field(Mesh2D(2 * math.pi, 2 * math.pi, 8, 8), np.full(64, 1.2)), init)
         cfgfile = tmp_path / "c.json"
         cfgfile.write_text(json.dumps({
             "nx": 8, "ny": 8, "init": {"kind": "csv", "path": str(init)},
@@ -170,7 +171,7 @@ class TestExitCodes:
         # beta + 1e-10 fails the diagnostics' maximum-bound check, so a
         # rescaled run must not start from it
         init = tmp_path / "u0.csv"
-        write_field_csv(constant_field(Mesh2D(2 * math.pi, 2 * math.pi, 8, 8), 1.0 + 1e-10), init)
+        write_field_csv(Field(Mesh2D(2 * math.pi, 2 * math.pi, 8, 8), np.full(64, 1.0 + 1e-10)), init)
         cfgfile = tmp_path / "c.json"
         cfgfile.write_text(json.dumps({
             "nx": 8, "ny": 8, "init": {"kind": "csv", "path": str(init)},
@@ -188,7 +189,7 @@ class TestExitCodes:
 
     def test_out_of_domain_state_exits_3(self, tmp_path, capsys):
         init = tmp_path / "u0.csv"
-        write_field_csv(constant_field(Mesh2D(2 * math.pi, 2 * math.pi, 8, 8), 1.5), init)
+        write_field_csv(Field(Mesh2D(2 * math.pi, 2 * math.pi, 8, 8), np.full(64, 1.5)), init)
         cfgfile = tmp_path / "c.json"
         cfgfile.write_text(json.dumps({
             "nx": 8, "ny": 8, "potential": {"kind": "fh"}, "tau": 0.5, "t_end": 0.5,
@@ -246,6 +247,25 @@ class TestConverge:
         assert float(rows[-1]["linf_rate"]) > 1.5
 
 
+    def test_tau_leaving_a_remainder_is_refused(self, tmp_path, capsys, monkeypatch):
+        # each tau is within 1e-9 * t_end of dividing t_end but leaves a
+        # remainder of 5e-9, which a solve would take as one more step
+        taus = []
+        real_step = cli.step
+
+        def spy(ctx, u, **kwargs):
+            taus.append(ctx.tau)
+            return real_step(ctx, u, **kwargs)
+
+        monkeypatch.setattr(cli, "step", spy)
+        rc = main(["converge", "--grid", "8", "--t-end", "100",
+                   "--taus", "0.39999999998,0.19999999999,0.099999999995",
+                   "--ref", "self_finer:1", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "does not divide" in capsys.readouterr().err
+        assert taus == []
+
+
 class TestMbpTest:
     def test_logarithmic_potential_sweep(self, tmp_path, capsys):
         out = tmp_path / "o"
@@ -289,7 +309,7 @@ class TestTables:
         assert len(sig) == 20
         for row in sig:
             r = int(row["r"])
-            want = sigma_min(vandermonde(make_nodes(r, row["kind"])))
+            want = sigma_min(Vandermonde(make_nodes(r, row["kind"])))
             assert float(row["sigma_min"]) == want
         assert f'{float(next(r for r in sig if r["r"] == "2" and r["kind"] == "uniform")["sigma_min"]):.4g}' == "0.1654"
 

@@ -18,7 +18,7 @@ from etdac.config import (
     validate_config,
 )
 from etdac import cli
-from etdac.grid import Mesh2D, write_field_csv, constant_field
+from etdac.grid import Field, Mesh2D, write_field_csv
 from etdac.scheme import make_scheme
 from etdac.stepper import step
 
@@ -260,7 +260,7 @@ class TestInitialField:
 
     def test_csv_roundtrip(self, tmp_path):
         path = tmp_path / "u0.csv"
-        write_field_csv(constant_field(self.mesh, 0.125), path)
+        write_field_csv(Field(self.mesh, np.full(self.mesh.ncells, 0.125)), path)
         self.cfg["init"] = {"kind": "csv", "path": str(path)}
         u = initial_field(self.cfg, self.mesh, self.pot)
         assert np.all(u.values == 0.125)

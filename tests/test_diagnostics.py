@@ -12,7 +12,7 @@ from etdac.diagnostics import (
     record,
     write_csv,
 )
-from etdac.grid import Mesh2D, constant_field
+from etdac.grid import Field, Mesh2D
 from etdac.scheme import make_scheme
 from etdac.spectral import SpectralPlan
 from etdac.stepper import StepContext
@@ -32,7 +32,7 @@ def fh_ctx(mesh8, fh):
 
 class TestRecord:
     def test_zero_state_double_well_energy(self, ctx, mesh8):
-        d = record(ctx, 0, constant_field(mesh8, 0.0))
+        d = record(ctx, 0, Field(mesh8, np.full(mesh8.ncells, 0.0)))
         assert d.energy == pytest.approx(math.pi**2, rel=1e-13)
         assert d.max_norm == 0.0
         assert d.mbp_ok
@@ -41,7 +41,7 @@ class TestRecord:
         assert d.t == 0.0
 
     def test_time_defaults_to_step_times_tau(self, ctx, mesh8):
-        u = constant_field(mesh8, 0.0)
+        u = Field(mesh8, np.full(mesh8.ncells, 0.0))
         assert record(ctx, 7, u).t == pytest.approx(0.7)
         assert record(ctx, 7, u, t=0.25).t == 0.25
 
@@ -50,7 +50,7 @@ class TestRecord:
         assert record(ctx, 0, u, prev_energy=None).dissipation_ok
 
     def test_dissipation_roundoff_guard(self, ctx, mesh8):
-        u = constant_field(mesh8, 0.0)
+        u = Field(mesh8, np.full(mesh8.ncells, 0.0))
         e = record(ctx, 0, u).energy
         assert record(ctx, 1, u, prev_energy=e).dissipation_ok
         within = e - 0.5 * DISSIPATION_RTOL * (1.0 + abs(e))
@@ -59,20 +59,20 @@ class TestRecord:
         assert not record(ctx, 1, u, prev_energy=beyond).dissipation_ok
 
     def test_mbp_flag_boundary(self, ctx, mesh8):
-        ok = constant_field(mesh8, 1.0 + 0.5 * MBP_TOL)
+        ok = Field(mesh8, np.full(mesh8.ncells, 1.0 + 0.5 * MBP_TOL))
         assert record(ctx, 1, ok).mbp_ok
-        bad = constant_field(mesh8, 1.0 + 2.0 * MBP_TOL)
+        bad = Field(mesh8, np.full(mesh8.ncells, 1.0 + 2.0 * MBP_TOL))
         assert not record(ctx, 1, bad).mbp_ok
 
     def test_out_of_domain_state_gets_inf_energy(self, fh_ctx, mesh8):
-        d = record(fh_ctx, 3, constant_field(mesh8, 1.5))
+        d = record(fh_ctx, 3, Field(mesh8, np.full(mesh8.ncells, 1.5)))
         assert d.energy == math.inf
         assert not d.mbp_ok
         # inf <= prev fails, so the violation is also flagged
-        assert not record(fh_ctx, 3, constant_field(mesh8, 1.5), prev_energy=1.0).dissipation_ok
+        assert not record(fh_ctx, 3, Field(mesh8, np.full(mesh8.ncells, 1.5)), prev_energy=1.0).dissipation_ok
 
     def test_alpha_min_passthrough(self, ctx, mesh8):
-        d = record(ctx, 1, constant_field(mesh8, 0.0), alpha_min=0.37)
+        d = record(ctx, 1, Field(mesh8, np.full(mesh8.ncells, 0.0)), alpha_min=0.37)
         assert d.alpha_min == 0.37
 
 

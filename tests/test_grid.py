@@ -7,7 +7,6 @@ from conftest import random_field, sinprod
 from etdac.grid import (
     Field,
     Mesh2D,
-    constant_field,
     discrete_energy,
     l2_norm,
     max_norm,
@@ -62,18 +61,11 @@ class TestField:
         u = Field(mesh, g)
         assert np.array_equal(u.grid(), g)
 
-    def test_copy_is_independent(self):
-        mesh = Mesh2D(1.0, 1.0, 2, 2)
-        u = constant_field(mesh, 1.0)
-        v = u.copy()
-        v.values[0] = 7.0
-        assert u.values[0] == 1.0
-
 
 class TestNorms:
     def test_max_norm_constant(self):
         mesh = Mesh2D(1.0, 1.0, 4, 4)
-        assert max_norm(constant_field(mesh, -2.5)) == 2.5
+        assert max_norm(Field(mesh, np.full(mesh.ncells, -2.5))) == 2.5
 
     def test_max_norm_single_spike(self):
         mesh = Mesh2D(1.0, 1.0, 4, 4)
@@ -89,7 +81,7 @@ class TestNorms:
 
     def test_l2_norm_of_ones_is_domain_measure_sqrt(self):
         mesh = Mesh2D(2 * np.pi, 2 * np.pi, 16, 16)
-        assert l2_norm(constant_field(mesh, 1.0)) == pytest.approx(2 * np.pi, rel=1e-14)
+        assert l2_norm(Field(mesh, np.full(mesh.ncells, 1.0))) == pytest.approx(2 * np.pi, rel=1e-14)
 
     def test_l2_norm_absolute_homogeneity(self):
         mesh = Mesh2D(1.0, 1.0, 5, 5)
@@ -126,12 +118,12 @@ def energy_by_loops(u, eps, potential):
 class TestDiscreteEnergy:
     def test_constant_minimizer_has_zero_energy(self, gl):
         mesh = Mesh2D(2 * np.pi, 2 * np.pi, 16, 16)
-        assert discrete_energy(constant_field(mesh, 1.0), 0.1, gl) == 0.0
+        assert discrete_energy(Field(mesh, np.full(mesh.ncells, 1.0)), 0.1, gl) == 0.0
 
     def test_zero_state_energy_is_pi_squared(self, gl):
         # F(0) = 1/4 over a (2 pi)^2 domain
         mesh = Mesh2D(2 * np.pi, 2 * np.pi, 16, 16)
-        assert discrete_energy(constant_field(mesh, 0.0), 0.1, gl) == pytest.approx(np.pi**2, rel=1e-13)
+        assert discrete_energy(Field(mesh, np.full(mesh.ncells, 0.0)), 0.1, gl) == pytest.approx(np.pi**2, rel=1e-13)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_matches_loop_reference(self, gl, fh, seed):
@@ -164,12 +156,12 @@ class TestDiscreteEnergy:
     def test_fh_domain_error_propagates(self, fh):
         mesh = Mesh2D(1.0, 1.0, 4, 4)
         with pytest.raises(ValueError):
-            discrete_energy(constant_field(mesh, 1.0), 0.1, fh)
+            discrete_energy(Field(mesh, np.full(mesh.ncells, 1.0)), 0.1, fh)
 
     def test_rejects_nonpositive_eps(self, gl):
         mesh = Mesh2D(1.0, 1.0, 4, 4)
         with pytest.raises(ValueError):
-            discrete_energy(constant_field(mesh, 0.0), 0.0, gl)
+            discrete_energy(Field(mesh, np.full(mesh.ncells, 0.0)), 0.0, gl)
 
 
 class TestFieldCsv:
@@ -198,7 +190,7 @@ class TestFieldCsv:
     def test_read_rejects_wrong_cell_count(self, tmp_path):
         mesh = Mesh2D(1.0, 1.0, 3, 2)
         path = tmp_path / "field.csv"
-        write_field_csv(constant_field(mesh, 1.0), path)
+        write_field_csv(Field(mesh, np.full(mesh.ncells, 1.0)), path)
         with pytest.raises(ValueError):
             read_field_csv(Mesh2D(1.0, 1.0, 4, 4), path)
 

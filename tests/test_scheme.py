@@ -12,7 +12,6 @@ from etdac.scheme import (
     make_scheme,
     sigma_min,
     tau_max,
-    vandermonde,
 )
 
 # published minimum singular values of V_r, r = 1..10
@@ -76,24 +75,24 @@ class TestNodes:
 
 class TestVandermonde:
     def test_degree_one_matrix(self):
-        v = vandermonde(make_nodes(1))
+        v = Vandermonde(make_nodes(1))
         assert v.matrix.shape == (1, 1)
         assert v.matrix[0, 0] == 1.0
 
     def test_degree_two_uniform_matrix(self):
-        v = vandermonde(make_nodes(2))
+        v = Vandermonde(make_nodes(2))
         assert np.allclose(v.matrix, [[0.5, 0.25], [1.0, 1.0]])
 
     def test_entries_are_node_powers(self):
         ns = make_nodes(5, "chebyshev")
-        v = vandermonde(ns)
+        v = Vandermonde(ns)
         for i in range(1, 6):
             for j in range(1, 6):
                 assert v.matrix[i - 1, j - 1] == pytest.approx(ns.nodes[i] ** j, rel=1e-15)
 
     @pytest.mark.parametrize("r", range(1, 7))
     def test_constructed_solution_recovered(self, r):
-        v = vandermonde(make_nodes(r))
+        v = Vandermonde(make_nodes(r))
         d = v.matrix @ np.ones(r)
         assert np.max(np.abs(v.solve(d) - 1.0)) < 1e-12
 
@@ -101,7 +100,7 @@ class TestVandermonde:
     def test_random_rhs_residual(self, r):
         # conditioning allows the 1e-12 residual contract up to r ~ 5 for
         # arbitrary data; smooth data (below) meets it at every order
-        v = vandermonde(make_nodes(r))
+        v = Vandermonde(make_nodes(r))
         rng = np.random.default_rng(r)
         for _ in range(50):
             b = rng.standard_normal(r)
@@ -113,7 +112,7 @@ class TestVandermonde:
     def test_smooth_rhs_residual(self, r, kind):
         # samples of smooth functions, the shape of every right-hand side
         # the cascade produces
-        v = vandermonde(make_nodes(r, kind))
+        v = Vandermonde(make_nodes(r, kind))
         nodes = v.nodes[1:]
         for a in (0.3, 1.1, 2.7):
             d = np.cos(a * nodes) - 1.0
@@ -121,7 +120,7 @@ class TestVandermonde:
             assert res <= 1e-12 * (1.0 + np.max(np.abs(d)))
 
     def test_stacked_solve_matches_columnwise(self):
-        v = vandermonde(make_nodes(4))
+        v = Vandermonde(make_nodes(4))
         rng = np.random.default_rng(9)
         b = rng.standard_normal((4, 7))
         stacked = v.solve(b)
@@ -131,14 +130,14 @@ class TestVandermonde:
     def test_polynomial_coefficients_recovered(self):
         # d_k = P(a_k) for P with zero constant term recovers P's coefficients
         ns = make_nodes(4)
-        v = vandermonde(ns)
+        v = Vandermonde(ns)
         coeffs = np.array([0.7, -1.3, 0.2, 2.0])
         d = np.array([sum(c * a ** (m + 1) for m, c in enumerate(coeffs)) for a in ns.nodes[1:]])
         assert np.max(np.abs(v.solve(d) - coeffs)) < 1e-12
 
     def test_degree_zero_rejected(self):
         with pytest.raises(ValueError):
-            vandermonde(make_nodes(0))
+            Vandermonde(make_nodes(0))
 
 
 class TestSigmaMin:
@@ -146,22 +145,22 @@ class TestSigmaMin:
         assert sigma_min(np.eye(3)) == pytest.approx(1.0, rel=1e-14)
 
     def test_accepts_factored_system_or_array(self):
-        v = vandermonde(make_nodes(3))
+        v = Vandermonde(make_nodes(3))
         assert sigma_min(v) == pytest.approx(sigma_min(v.matrix), rel=1e-14)
 
     @pytest.mark.parametrize("r,want", list(enumerate(SIGMA_MIN_UNIFORM, start=1)))
     def test_table_uniform(self, r, want):
-        got = sigma_min(vandermonde(make_nodes(r, "uniform")))
+        got = sigma_min(Vandermonde(make_nodes(r, "uniform")))
         assert sig4(got) == want
 
     @pytest.mark.parametrize("r,want", list(enumerate(SIGMA_MIN_CHEBYSHEV, start=1)))
     def test_table_chebyshev(self, r, want):
-        got = sigma_min(vandermonde(make_nodes(r, "chebyshev")))
+        got = sigma_min(Vandermonde(make_nodes(r, "chebyshev")))
         assert sig4(got) == want
 
     @pytest.mark.parametrize("kind", NODE_KINDS)
     def test_decreasing_in_degree(self, kind):
-        vals = [sigma_min(vandermonde(make_nodes(r, kind))) for r in range(1, 11)]
+        vals = [sigma_min(Vandermonde(make_nodes(r, kind))) for r in range(1, 11)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
@@ -180,7 +179,7 @@ class TestTauMax:
     def test_formula_against_direct_computation(self):
         kappa = 3.7
         for r in (2, 4, 6):
-            want = min(sigma_min(vandermonde(make_nodes(k))) / k for k in range(1, r)) / (4 * kappa)
+            want = min(sigma_min(Vandermonde(make_nodes(k))) / k for k in range(1, r)) / (4 * kappa)
             assert tau_max(r, kappa) == pytest.approx(want, rel=1e-14)
 
     @pytest.mark.parametrize("kind", NODE_KINDS)

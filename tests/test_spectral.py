@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_field
-from etdac.grid import Field, Mesh2D, constant_field, l2_norm, max_norm
+from etdac.grid import Field, Mesh2D, l2_norm, max_norm
 from etdac.spectral import SpectralPlan, apply_phi
 from etdac.stepper import StageState
 from oracles import DenseOperator, dct2_matrix
@@ -18,7 +18,7 @@ def plan8(mesh8):
 def forward(u):
     """The stepper's forward transform of u: the cached spectrum of a
     level-0 state with scaling one and N(u_n) = u."""
-    return StageState(u.mesh, u.values[None, :], constant_field(u.mesh, 1.0)).hats[0]
+    return StageState(u.mesh, u.values[None, :]).hats[0]
 
 
 class TestSpectralPlan:
@@ -58,7 +58,7 @@ class TestTransforms:
         assert np.max(np.abs(v.values - u.values)) < 1e-13 * max_norm(u)
 
     def test_constant_maps_to_dc_mode_only(self, plan8, mesh8):
-        uh = forward(constant_field(mesh8, 3.0))
+        uh = forward(Field(mesh8, np.full(mesh8.ncells, 3.0)))
         off_dc = uh.copy()
         off_dc[0, 0] = 0.0
         assert np.max(np.abs(off_dc)) < 1e-13
@@ -74,7 +74,7 @@ class TestTransforms:
 class TestApplyPhi:
     def test_semigroup_on_constants(self, plan8, mesh8):
         s = 0.37
-        out = apply_phi(plan8, 0, s, constant_field(mesh8, 1.0))
+        out = apply_phi(plan8, 0, s, Field(mesh8, np.full(mesh8.ncells, 1.0)))
         assert np.max(np.abs(out.values - math.exp(-plan8.kappa * s))) < 1e-14
 
     @pytest.mark.parametrize("j", range(6))
@@ -123,13 +123,13 @@ class TestApplyPhi:
             assert max_norm(out) <= math.exp(-plan8.kappa * t) * max_norm(v) + 1e-12
 
     def test_nonpositive_time_rejected(self, plan8, mesh8):
-        v = constant_field(mesh8, 1.0)
+        v = Field(mesh8, np.full(mesh8.ncells, 1.0))
         with pytest.raises(ValueError):
             apply_phi(plan8, 0, 0.0, v)
         with pytest.raises(ValueError):
             apply_phi(plan8, 1, -0.1, v)
 
     def test_mesh_mismatch_rejected(self, plan8):
-        other = constant_field(Mesh2D(1.0, 1.0, 4, 4), 1.0)
+        other = Field(Mesh2D(1.0, 1.0, 4, 4), np.full(16, 1.0))
         with pytest.raises(ValueError):
             apply_phi(plan8, 0, 0.1, other)

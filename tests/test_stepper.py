@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
+import etdac.stepper as stepper
 from conftest import random_field, sinprod
-from etdac.grid import Field, Mesh2D, constant_field, discrete_energy, max_norm
+from etdac.grid import Field, Mesh2D, discrete_energy, max_norm
+from etdac.phi import phi_batch
 from etdac.scheme import make_scheme, tau_max
 from etdac.spectral import SpectralPlan, apply_phi
 from etdac.stepper import (
@@ -28,7 +31,7 @@ def make_ctx(mesh, potential, order, tau, rescaled=False, eps=0.1, kappa=None):
 
 
 def ones_field(mesh):
-    return constant_field(mesh, 1.0)
+    return Field(mesh, np.full(mesh.ncells, 1.0))
 
 
 def stacked(n0, coeffs):
@@ -129,18 +132,18 @@ class TestRescaleFactor:
         self.mesh = Mesh2D(1.0, 1.0, 4, 4)
 
     def test_in_bound_constant_gives_unit_factor(self):
-        n = constant_field(self.mesh, 1.5)
+        n = Field(self.mesh, np.full(self.mesh.ncells, 1.5))
         alpha = rescale(n, [], 2.0)
         assert np.all(alpha.values == 1.0)
 
     def test_twice_the_bound_gives_half(self):
-        n = constant_field(self.mesh, 4.0)
+        n = Field(self.mesh, np.full(self.mesh.ncells, 4.0))
         alpha = rescale(n, [], 2.0)
         assert np.all(alpha.values == 0.5)
 
     def test_zero_polynomial_gives_unit_factor(self):
-        n = constant_field(self.mesh, 0.0)
-        alpha = rescale(n, [constant_field(self.mesh, 0.0)], 2.0)
+        n = Field(self.mesh, np.full(self.mesh.ncells, 0.0))
+        alpha = rescale(n, [Field(self.mesh, np.full(self.mesh.ncells, 0.0))], 2.0)
         assert np.all(alpha.values == 1.0)
 
     def test_mixed_points(self):
@@ -180,7 +183,7 @@ class TestRescaleFactor:
 
     def test_nonpositive_bound_rejected(self):
         with pytest.raises(ValueError):
-            rescale(constant_field(self.mesh, 1.0), [], 0.0)
+            rescale(Field(self.mesh, np.full(self.mesh.ncells, 1.0)), [], 0.0)
 
 
 class TestStepContext:
@@ -217,8 +220,16 @@ class TestStepContext:
         assert n[2] == 0.0
 
     def test_phi_grids_are_memoized(self, mesh8, gl):
-        ctx = make_ctx(mesh8, gl, 2, 0.1)
-        assert ctx.phi_grid(1, 0.05) is ctx.phi_grid(1, 0.05)
+        # each grid is cached already multiplied by its stage-formula scalar
+        tau, s = 0.1, 0.05
+        ctx = make_ctx(mesh8, gl, 4, tau)
+        assert ctx.phi_grid(1, s) is ctx.phi_grid(1, s)
+        z = s * ctx.plan.eigvals
+        assert np.array_equal(ctx.phi_grid(0, s), phi_batch(0, z))
+        assert np.array_equal(ctx.phi_grid(1, s), s * phi_batch(1, z))
+        for j in (2, 3, 4):
+            want = tau * math.factorial(j - 1) * (s / tau) ** j * phi_batch(j, z)
+            assert np.array_equal(ctx.phi_grid(j, s), want)
 
 
 class TestEvaluateStage:
@@ -241,7 +252,7 @@ class TestEvaluateStage:
         rng = np.random.default_rng(5)
         n0 = Field(mesh8, ctx.nonlinearity(u.values))
         coeffs = [Field(mesh8, rng.uniform(-0.5, 0.5, mesh8.ncells)) for _ in range(2)]
-        alpha = constant_field(mesh8, rescale_const)
+        alpha = Field(mesh8, np.full(mesh8.ncells, rescale_const))
         state = make_state(n0, coeffs, alpha)
         s = s_frac * tau
         got = evaluate_stage(ctx, s, u, state)
@@ -341,7 +352,7 @@ class TestStep:
 
     def test_rejects_non_finite_input(self, mesh8, gl):
         ctx = make_ctx(mesh8, gl, 2, 0.1)
-        bad = constant_field(mesh8, 1.0)
+        bad = Field(mesh8, np.full(mesh8.ncells, 1.0))
         bad.values[0] = np.nan
         with pytest.raises(ValueError):
             step(ctx, bad)
@@ -349,34 +360,34 @@ class TestStep:
     def test_rescaled_requires_bounded_input(self, mesh8, gl):
         ctx = make_ctx(mesh8, gl, 2, 0.1, rescaled=True)
         with pytest.raises(ValueError):
-            step(ctx, constant_field(mesh8, 1.2))
+            step(ctx, Field(mesh8, np.full(mesh8.ncells, 1.2)))
 
     def test_rescaled_bound_uses_the_diagnostics_tolerance(self, mesh8, gl):
         # gl.beta = 1; the check admits what diagnostics flag mbp_ok, no more
         ctx = make_ctx(mesh8, gl, 2, 0.1, rescaled=True)
         with pytest.raises(ValueError):
-            step(ctx, constant_field(mesh8, 1.0 + 1e-10))
-        _, diag = step(ctx, constant_field(mesh8, 1.0 + 1e-13))
+            step(ctx, Field(mesh8, np.full(mesh8.ncells, 1.0 + 1e-10)))
+        _, diag = step(ctx, Field(mesh8, np.full(mesh8.ncells, 1.0 + 1e-13)))
         assert diag.mbp_ok
 
     def test_out_of_domain_input_raises_bound_exceeded(self, mesh8, fh):
         ctx = make_ctx(mesh8, fh, 3, 0.1)
         with pytest.raises(BoundExceeded) as info:
-            step(ctx, constant_field(mesh8, 1.5))
+            step(ctx, Field(mesh8, np.full(mesh8.ncells, 1.5)))
         assert (info.value.level, info.value.stage) == (0, 0)
 
     def test_overflowing_state_raises_blowup(self, mesh8, gl):
         ctx = make_ctx(mesh8, gl, 3, 0.1)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalBlowup) as info:
-                step(ctx, constant_field(mesh8, 1e200))
+                step(ctx, Field(mesh8, np.full(mesh8.ncells, 1e200)))
         assert info.value.level >= 1
         assert info.value.stage >= 1
 
     def test_mesh_mismatch_rejected(self, mesh8, gl):
         ctx = make_ctx(mesh8, gl, 2, 0.1)
         with pytest.raises(ValueError):
-            step(ctx, constant_field(Mesh2D(1.0, 1.0, 4, 4), 0.0))
+            step(ctx, Field(Mesh2D(1.0, 1.0, 4, 4), np.full(16, 0.0)))
 
 
 class TestStepDenseOracle:
@@ -474,3 +485,64 @@ class TestStructurePreservation:
         u = random_field(mesh, 19, -fh.beta + 1e-12, fh.beta - 1e-12)
         _, diag = step(ctx, u)
         assert 0.0 < diag.alpha_min <= 1.0
+
+
+def count_transforms(monkeypatch, ctx, u):
+    """(forward, inverse) DCTs made by one step(ctx, u), and its diagnostics."""
+    calls = {"dctn": 0, "idctn": 0}
+    for name in calls:
+        def spy(*args, _name=name, _real=getattr(scipy.fft, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(scipy.fft, name, spy)
+    _, diag = step(ctx, u)
+    monkeypatch.undo()
+    return calls["dctn"], calls["idctn"], diag
+
+
+class TestTransformCount:
+    """u_n and N(u_n) are transformed once per step; each level j < r adds
+    the transforms of its j new coefficient rows, and of its own scaled
+    row 0 only where rescaling shrinks some point."""
+
+    @pytest.mark.parametrize("order", [3, 5])
+    @pytest.mark.parametrize("rescaled", [False, True])
+    def test_no_shrinking_reuses_the_spectrum_of_n0(self, monkeypatch, mesh32, gl, order, rescaled):
+        # small data keeps alpha identically one in rescaled mode too
+        ctx = make_ctx(mesh32, gl, order, 0.1, rescaled=rescaled)
+        fwd, inv, diag = count_transforms(monkeypatch, ctx, sinprod(mesh32, 0.3))
+        assert diag.alpha_min == 1.0
+        assert fwd == 2 + order * (order - 1) // 2
+        assert inv == 1 + order * (order - 1) // 2
+
+    def test_shrinking_levels_transform_their_scaled_row_zero(self, monkeypatch, fh):
+        mesh = Mesh2D(2 * np.pi, 2 * np.pi, 16, 16)
+        order = 4
+        ctx = make_ctx(mesh, fh, order, 10.0, rescaled=True)
+        # with this seed, alpha < 1 at levels 2 and 3 and is one at 0 and 1
+        u = random_field(mesh, 4, -fh.beta + 1e-12, fh.beta - 1e-12)
+        fwd, inv, _ = count_transforms(monkeypatch, ctx, u)
+        assert fwd == 2 + order * (order - 1) // 2 + 2
+        assert inv == 1 + order * (order - 1) // 2
+
+
+@pytest.mark.parametrize("tau, seed", [(1.0, 102), (10.0, 4)])
+def test_step_equals_cascade_where_some_levels_shrink(monkeypatch, fh, tau, seed):
+    # the step reuses the spectrum of N(u_n) only at levels where alpha is
+    # one at every point; replicate_cascade transforms alpha * N(u_n) anew
+    mesh = Mesh2D(2 * np.pi, 2 * np.pi, 16, 16)
+    ctx = make_ctx(mesh, fh, 4, tau, rescaled=True)
+    u = random_field(mesh, seed, -fh.beta + 1e-12, fh.beta - 1e-12)
+    alpha_mins = []
+
+    def spy(*args):
+        alpha = rescale_factor(*args)
+        alpha_mins.append(alpha.values.min())
+        return alpha
+
+    monkeypatch.setattr(stepper, "rescale_factor", spy)
+    u1, _ = step(ctx, u)
+    monkeypatch.undo()
+    assert alpha_mins[0] == 1.0 and min(alpha_mins) < 1.0
+    replayed, _ = replicate_cascade(ctx, u)
+    assert np.array_equal(u1.values, replayed.values)
