@@ -108,10 +108,9 @@ def _setup(cfg):
 
 
 def _integrate(plan, potential, spec, rescaled, tau, t_end, u0):
-    """Run to t_end; returns (u, report, error-or-None).
+    """Run to t_end, recording every state; returns (u, report, error-or-None).
 
-    A numerical failure stops the run but keeps the completed records; the
-    exception gains a step_index attribute.
+    A numerical failure stops the run but keeps the completed records.
     """
     if rescaled and max_norm(u0) > potential.beta + MBP_TOL:
         raise ConfigError(
@@ -121,23 +120,16 @@ def _integrate(plan, potential, spec, rescaled, tau, t_end, u0):
     m, rem = _split_steps(t_end, tau)
     ctx = StepContext(plan, potential, spec, tau, rescaled=rescaled)
     report = RunReport()
-    d = record(ctx, 0, u0, None)
-    report.append(d)
-    prev = d.energy
+    report.append(record(ctx, 0, u0, None))
     u = u0
-    i = 0
     try:
-        for i in range(1, m + 1):
-            u, d = step(ctx, u, n=i, t=i * tau, prev_energy=prev)
-            report.append(d)
-            prev = d.energy
-        if rem:
-            i = m + 1
-            ctx_last = StepContext(plan, potential, spec, rem, rescaled=rescaled)
-            u, d = step(ctx_last, u, n=i, t=t_end, prev_energy=prev)
-            report.append(d)
+        for i in range(1, m + 1 + bool(rem)):
+            t = i * tau
+            if i > m:  # the shortened last step, which ends at t_end
+                ctx, t = StepContext(plan, potential, spec, rem, rescaled=rescaled), t_end
+            u, alpha_min = step(ctx, u, n=i)
+            report.append(record(ctx, i, u, report.series[-1].energy, alpha_min=alpha_min, t=t))
     except (BoundExceeded, NumericalBlowup) as exc:
-        exc.step_index = i
         return u, report, exc
     return u, report, None
 
@@ -150,7 +142,7 @@ def _outdir(cfg) -> str:
 
 def cmd_run(cfg, args) -> int:
     potential, plan, u0 = _setup(cfg)
-    spec = make_scheme(int(cfg["order"]), plan.kappa, cfg["nodes"])
+    spec = make_scheme(int(cfg["order"]), cfg["nodes"])
     u, report, err = _integrate(plan, potential, spec, cfg["rescaled"], cfg["tau"], cfg["t_end"], u0)
     out = _outdir(cfg)
     write_csv(report, os.path.join(out, "diagnostics.csv"))
@@ -213,14 +205,14 @@ def cmd_converge(cfg, args) -> int:
     tau_ref = min(taus) if divider is None else min(taus) / divider
     potential, plan, u0 = _setup(cfg)
 
-    ref_spec = make_scheme(ref_order, plan.kappa, cfg["nodes"])
+    ref_spec = make_scheme(ref_order, cfg["nodes"])
     u_ref, _, err = _integrate(plan, potential, ref_spec, cfg["rescaled"], tau_ref, t_end, u0)
     if err is not None:
         raise err
     ref_linf = max_norm(u_ref)
     ref_l2 = l2_norm(u_ref)
 
-    spec = make_scheme(order, plan.kappa, cfg["nodes"])
+    spec = make_scheme(order, cfg["nodes"])
     rows = []
     prev_errs = None
     for tau in taus:
@@ -242,13 +234,8 @@ def cmd_converge(cfg, args) -> int:
         rows.append((tau, e_linf, rates[0], e_l2, rates[1]))
         prev_errs = (e_linf, e_l2)
 
-    out = _outdir(cfg)
-    path = os.path.join(out, "convergence.csv")
-    with open(path, "w", newline="") as fh:
-        fh.write("tau,linf_err,linf_rate,l2_err,l2_rate\n")
-        for tau, el, rl, e2, r2 in rows:
-            fh.write(f"{tau:.17g},{el:.17g},{'' if rl is None else format(rl, '.17g')},"
-                     f"{e2:.17g},{'' if r2 is None else format(r2, '.17g')}\n")
+    path = os.path.join(_outdir(cfg), "convergence.csv")
+    write_csv(rows, path, ("tau", "linf_err", "linf_rate", "l2_err", "l2_rate"))
     print(f"convergence: order={order} ref={'order ' + str(ref_order) if divider is None else 'self'} "
           f"tau_ref={tau_ref:g} grid={cfg['nx']}x{cfg['ny']}")
     print(f"{'tau':>12} {'Linf_err':>12} {'rate':>7} {'L2_err':>12} {'rate':>7}")
@@ -272,7 +259,7 @@ def cmd_mbp_test(cfg, args) -> int:
     for rescaled in (False, True):
         variant = "rescaled" if rescaled else "standard"
         for order in (3, 5, 7):
-            spec = make_scheme(order, plan.kappa, cfg["nodes"])
+            spec = make_scheme(order, cfg["nodes"])
             u, report, err = _integrate(plan, potential, spec, rescaled, 1.0, float(steps), u0)
             path = os.path.join(out, f"mbp_{variant}_r{order}.csv")
             write_csv(report, path)
@@ -298,7 +285,7 @@ def cmd_energy_test(cfg, args) -> int:
     total_violations = 0
     for order in (3, 4, 5, 6):
         bound = tau_max(order, plan.kappa, cfg["nodes"], rescaled=True)
-        spec = make_scheme(order, plan.kappa, cfg["nodes"])
+        spec = make_scheme(order, cfg["nodes"])
         for tau in (0.2, 0.1, 0.01):
             u, report, err = _integrate(plan, potential, spec, True, tau, t_end, u0)
             if err is not None:
@@ -319,19 +306,13 @@ def cmd_tables(cfg, args) -> int:
     out = _outdir(cfg)
     kappa = 2.0 if cfg["kappa"] is None else float(cfg["kappa"])
     p1 = os.path.join(out, "table_sigma_min.csv")
-    with open(p1, "w", newline="") as fh:
-        fh.write("r,kind,sigma_min\n")
-        for kind in ("uniform", "chebyshev"):
-            for r in range(1, 11):
-                s = sigma_min(Vandermonde(make_nodes(r, kind)))
-                fh.write(f"{r},{kind},{s:.17g}\n")
+    write_csv([(r, kind, sigma_min(Vandermonde(make_nodes(r, kind))))
+               for kind in ("uniform", "chebyshev") for r in range(1, 11)],
+              p1, ("r", "kind", "sigma_min"))
     p2 = os.path.join(out, "table_tau_max.csv")
-    with open(p2, "w", newline="") as fh:
-        fh.write("r,kappa,variant,tau_max\n")
-        for variant, resc in (("standard", False), ("rescaled", True)):
-            for r in range(1, 11):
-                tm = tau_max(r, kappa, cfg["nodes"], rescaled=resc)
-                fh.write(f"{r},{kappa:.17g},{variant},{tm:.17g}\n")
+    write_csv([(r, kappa, variant, tau_max(r, kappa, cfg["nodes"], rescaled=resc))
+               for variant, resc in (("standard", False), ("rescaled", True)) for r in range(1, 11)],
+              p2, ("r", "kappa", "variant", "tau_max"))
     print(f"wrote {p1} and {p2}")
     return 0
 
@@ -348,9 +329,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (BoundExceeded, NumericalBlowup) as exc:
-        where = getattr(exc, "step_index", None)
-        at = f" at step {where}" if where is not None else ""
-        print(f"numerical failure{at}: {exc}", file=sys.stderr)
+        print(f"numerical failure at step {exc.step_index}: {exc}", file=sys.stderr)
         return 3
 
 

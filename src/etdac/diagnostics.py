@@ -6,21 +6,20 @@ flags: dissipation_ok compares against the previous energy with an
 absolute-plus-relative roundoff guard, and mbp_ok checks the maximum bound.
 States outside the logarithmic potential's domain get a +inf energy
 sentinel instead of an exception, so bound-violation experiments can run to
-completion and be plotted.
+completion and be plotted.  write_csv writes these series and every other
+table the CLI makes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 from .grid import Field, discrete_energy, max_norm
 
-__all__ = ["StepDiagnostics", "RunReport", "energy_or_inf", "record", "write_csv", "DISSIPATION_RTOL", "MBP_TOL"]
+__all__ = ["StepDiagnostics", "RunReport", "record", "write_csv", "DISSIPATION_RTOL", "MBP_TOL"]
 
 DISSIPATION_RTOL = 1e-10
 MBP_TOL = 1e-12
-
-_CSV_HEADER = "n,t,energy,max_norm,alpha_min,dissipation_ok,mbp_ok"
 
 
 @dataclass(frozen=True)
@@ -54,20 +53,15 @@ class RunReport:
         }
 
 
-def energy_or_inf(ctx, u: Field) -> float:
-    """Discrete energy of u, or the +inf sentinel outside the potential's domain."""
-    try:
-        return discrete_energy(u, ctx.plan.eps, ctx.potential)
-    except ValueError:
-        return float("inf")
-
-
 def record(ctx, n: int, u: Field, prev_energy: float = None, *, alpha_min: float = 1.0, t: float = None) -> StepDiagnostics:
     """Measure one state; prev_energy=None marks a state with no predecessor."""
     if t is None:
         t = n * ctx.tau
     mn = max_norm(u)
-    energy = energy_or_inf(ctx, u)
+    try:
+        energy = discrete_energy(u, ctx.plan.eps, ctx.potential)
+    except ValueError:
+        energy = float("inf")
     if prev_energy is None:
         dissipation_ok = True
     else:
@@ -76,15 +70,26 @@ def record(ctx, n: int, u: Field, prev_energy: float = None, *, alpha_min: float
     return StepDiagnostics(n, float(t), float(energy), mn, float(alpha_min), bool(dissipation_ok), bool(mbp_ok))
 
 
-def write_csv(report: RunReport, path) -> None:
-    """Emit the diagnostics series; floats as %.17g, booleans as 0/1."""
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(int(value))
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return str(value)
+
+
+def write_csv(rows, path, header: tuple = None) -> None:
+    """Write a table: a RunReport's series under StepDiagnostics' field
+    names, or rows of cells under header.  Floats as %.17g, booleans as
+    0/1, None as an empty cell, ints and strings as they are."""
+    if isinstance(rows, RunReport):
+        header = [f.name for f in fields(StepDiagnostics)]
+        rows = [astuple(d) for d in rows.series]
     try:
         with open(path, "w", newline="") as fh:
-            fh.write(_CSV_HEADER + "\n")
-            for d in report.series:
-                fh.write(
-                    f"{d.n},{d.t:.17g},{d.energy:.17g},{d.max_norm:.17g},"
-                    f"{d.alpha_min:.17g},{int(d.dissipation_ok)},{int(d.mbp_ok)}\n"
-                )
+            for row in [header, *rows]:
+                fh.write(",".join(map(_cell, row)) + "\n")
     except OSError as exc:
-        raise OSError(f"cannot write diagnostics to {path}: {exc}") from exc
+        raise OSError(f"cannot write {path}: {exc}") from exc

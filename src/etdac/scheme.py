@@ -128,11 +128,9 @@ def tau_max(r: int, kappa: float, kind: str = "uniform", rescaled: bool = False)
 
 @dataclass(frozen=True)
 class SchemeSpec:
-    """Order, stabilizer, and the factored cascade systems V_1..V_{r-1}."""
+    """Order and the factored cascade systems V_1..V_{r-1}, each with its nodes."""
 
     order: int
-    kappa: float
-    node_sets: tuple
     systems: tuple
 
     @property
@@ -141,11 +139,8 @@ class SchemeSpec:
         return range(1, self.order)
 
 
-def make_scheme(order: int, kappa: float, kind: str = "uniform") -> SchemeSpec:
+def make_scheme(order: int, kind: str = "uniform") -> SchemeSpec:
     """Assemble everything an order-r cascade needs, one level per degree."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
-    node_sets = tuple(make_nodes(k, kind) for k in range(1, order))
-    return SchemeSpec(order, float(kappa), node_sets, tuple(Vandermonde(ns) for ns in node_sets))
+    return SchemeSpec(order, tuple(Vandermonde(make_nodes(k, kind)) for k in range(1, order)))

@@ -28,7 +28,7 @@ import math
 import numpy as np
 import scipy.fft
 
-from . import diagnostics
+from .diagnostics import MBP_TOL
 from .grid import Field, Mesh2D, max_norm
 from .phi import phi_batch
 from .scheme import SchemeSpec
@@ -51,20 +51,22 @@ MAX_ORDER = 10
 
 
 class BoundExceeded(RuntimeError):
-    """A stage value left the potential's domain (standard mode only)."""
+    """A stage value of step step_index left the potential's domain (standard mode only)."""
 
-    def __init__(self, level: int, stage: int):
+    def __init__(self, level: int, stage: int, step_index: int):
         self.level = level
         self.stage = stage
+        self.step_index = step_index
         super().__init__(f"stage value outside the potential domain at level {level}, stage {stage}")
 
 
 class NumericalBlowup(RuntimeError):
-    """A stage value became non-finite."""
+    """A stage value of step step_index became non-finite."""
 
-    def __init__(self, level: int, stage: int):
+    def __init__(self, level: int, stage: int, step_index: int):
         self.level = level
         self.stage = stage
+        self.step_index = step_index
         super().__init__(f"non-finite stage value at level {level}, stage {stage}")
 
 
@@ -83,8 +85,6 @@ class StepContext:
             raise ValueError(
                 f"stabilizer kappa={plan.kappa} is below the potential's minimum {potential.kappa_min}"
             )
-        if abs(spec.kappa - plan.kappa) > 1e-12 * max(1.0, plan.kappa):
-            raise ValueError("scheme and plan disagree on kappa")
         if spec.order > MAX_ORDER:
             raise ValueError(f"stepping supports order <= {MAX_ORDER}")
         self.plan = plan
@@ -123,13 +123,14 @@ class StageState:
 
     poly is (level+1, ncells): row 0 is the unscaled N(u_n) and row m the
     coefficient c_m of (s/tau)^m.  alpha is the pointwise scaling factor,
-    None where it is one at every point; hats[m] is the transform of
-    alpha*poly[m], so the state's level is len(hats) - 1.  hat0, when
-    given, is that transform of row 0, already computed.
+    None where it is one at every point, and alpha_min its minimum (1.0
+    for None); hats[m] is the transform of alpha*poly[m], so the state's
+    level is len(hats) - 1.  hat0, when given, is that transform of row 0,
+    already computed.
     """
 
     def __init__(self, mesh: Mesh2D, poly: np.ndarray, alpha: Field = None, hat0: np.ndarray = None):
-        self.alpha = alpha
+        self.alpha_min = 1.0 if alpha is None else float(alpha.values.min())
         rows = poly if alpha is None else alpha.values * poly
         if hat0 is None:
             hat0 = _dct(mesh, rows[0])
@@ -168,56 +169,53 @@ def evaluate_stage(ctx: StepContext, s: float, u_n: Field, state: StageState) ->
     return Field(u_n.mesh, _stage_values(ctx, s, _dct(u_n.mesh, u_n.values), state))
 
 
-def step(ctx: StepContext, u_n: Field, *, n: int = 1, t: float = None, prev_energy: float = None):
-    """Advance one step; returns (u_next, StepDiagnostics).
+def step(ctx: StepContext, u_n: Field, *, n: int = 1) -> tuple[Field, float]:
+    """Advance one step; returns (u_next, alpha_min).
 
-    n and t label the produced state in the diagnostics (t defaults to
-    n*tau); prev_energy defaults to the energy of u_n, so the dissipation
-    flag is meaningful even for a standalone call.
+    alpha_min is the smallest rescale factor at any cascade level, 1.0 when
+    nothing shrank.  n is the step's index, which labels a BoundExceeded or
+    NumericalBlowup raised here.
     """
     mesh = u_n.mesh
     if mesh != ctx.plan.mesh:
         raise ValueError("field mesh does not match the plan's mesh")
     if not np.all(np.isfinite(u_n.values)):
         raise ValueError("u_n must be finite")
-    if ctx.rescaled and max_norm(u_n) > ctx.potential.beta + diagnostics.MBP_TOL:
+    if ctx.rescaled and max_norm(u_n) > ctx.potential.beta + MBP_TOL:
         raise ValueError("rescaled stepping requires max_norm(u_n) <= beta")
 
     try:
         n0 = ctx.nonlinearity(u_n.values)
     except ValueError as exc:
-        raise BoundExceeded(0, 0) from exc
-    if prev_energy is None:
-        prev_energy = diagnostics.energy_or_inf(ctx, u_n)
+        raise BoundExceeded(0, 0, n) from exc
 
     n0_hat = functools.cache(lambda: _dct(mesh, n0))
     state = _make_state(ctx, n0[None, :], n0_hat)
+    alpha_min = state.alpha_min
     u_hat = _dct(mesh, u_n.values)
 
     for j in ctx.spec.levels:
-        nodes = ctx.spec.node_sets[j - 1].nodes
+        system = ctx.spec.systems[j - 1]
         poly = np.empty((j + 1, mesh.ncells))
         poly[0] = n0
         for k in range(1, j + 1):
-            w = _stage_values(ctx, nodes[k] * ctx.tau, u_hat, state)
+            w = _stage_values(ctx, system.nodes[k] * ctx.tau, u_hat, state)
             if not np.all(np.isfinite(w)):
-                raise NumericalBlowup(j, k)
+                raise NumericalBlowup(j, k, n)
             try:
                 poly[k] = ctx.nonlinearity(w)
             except ValueError as exc:
-                raise BoundExceeded(j, k) from exc
+                raise BoundExceeded(j, k, n) from exc
             poly[k] -= n0
-        poly[1:] = ctx.spec.systems[j - 1].solve(poly[1:])
+        poly[1:] = system.solve(poly[1:])
         state = _make_state(ctx, poly, n0_hat)
+        alpha_min = min(alpha_min, state.alpha_min)
 
     r = ctx.spec.order
     out = _stage_values(ctx, ctx.tau, u_hat, state)
     if not np.all(np.isfinite(out)):
-        raise NumericalBlowup(r, r)
-    u_next = Field(mesh, out)
-    alpha_min = 1.0 if state.alpha is None else float(np.min(state.alpha.values))
-    diag = diagnostics.record(ctx, n, u_next, prev_energy, alpha_min=alpha_min, t=t)
-    return u_next, diag
+        raise NumericalBlowup(r, r, n)
+    return Field(mesh, out), alpha_min
 
 
 def rescale_factor(mesh: Mesh2D, poly: np.ndarray, kappa_beta: float) -> Field:

@@ -7,6 +7,7 @@ import pytest
 
 from etdac import cli
 from etdac.cli import main
+from etdac.diagnostics import DISSIPATION_RTOL
 from etdac.grid import Field, Mesh2D, write_field_csv
 from etdac.scheme import Vandermonde, make_nodes, sigma_min, tau_max
 
@@ -39,6 +40,31 @@ class TestRun:
         rows = read_rows(out / "diagnostics.csv")
         assert len(rows) == 4  # initial + 2 full steps + shortened step
         assert float(rows[-1]["t"]) == pytest.approx(0.25)
+
+    def test_run_loop_records_each_step(self, tmp_path, monkeypatch):
+        # the run loop labels each record with n, t (t_end for the shortened
+        # step) and the step's alpha_min, and flags dissipation against the
+        # previous row's energy
+        alphas = []
+        real = cli.step
+
+        def spy(*args, **kwargs):
+            u, alpha_min = real(*args, **kwargs)
+            alphas.append(alpha_min)
+            return u, alpha_min
+
+        monkeypatch.setattr(cli, "step", spy)
+        out = tmp_path / "o"
+        rc = main(["run", "--grid", "16", "--potential", "fh", "--seed", "2", "--order", "7",
+                   "--tau", "10", "--t-end", "25", "--out", str(out)])
+        assert rc == 0
+        rows = read_rows(out / "diagnostics.csv")
+        assert [(r["n"], r["t"]) for r in rows] == [("0", "0"), ("1", "10"), ("2", "20"), ("3", "25")]
+        assert [float(r["alpha_min"]) for r in rows] == [1.0] + alphas
+        assert min(alphas) < 1.0
+        for prev, row in zip(rows, rows[1:]):
+            e0, e1 = float(prev["energy"]), float(row["energy"])
+            assert row["dissipation_ok"] == str(int(e1 <= e0 + DISSIPATION_RTOL * (1.0 + abs(e0))))
 
     def test_zero_horizon_records_initial_state_only(self, tmp_path):
         out = tmp_path / "o"

@@ -21,13 +21,13 @@ from etdac.stepper import StepContext
 @pytest.fixture
 def ctx(mesh8, gl):
     plan = SpectralPlan(mesh8, 0.1, 2.0)
-    return StepContext(plan, gl, make_scheme(2, 2.0), 0.1)
+    return StepContext(plan, gl, make_scheme(2), 0.1)
 
 
 @pytest.fixture
 def fh_ctx(mesh8, fh):
     plan = SpectralPlan(mesh8, 0.1, fh.kappa_min)
-    return StepContext(plan, fh, make_scheme(2, fh.kappa_min), 0.1)
+    return StepContext(plan, fh, make_scheme(2), 0.1)
 
 
 class TestRecord:
@@ -141,6 +141,16 @@ class TestWriteCsv:
         path = tmp_path / "diag.csv"
         write_csv(RunReport(), path)
         assert path.read_text() == self.HEADER + "\n"
+
+    def test_rows_of_cells_under_a_header(self, tmp_path):
+        path = tmp_path / "table.csv"
+        write_csv([(1, "uniform", 0.1 + 0.2, None), (2, "chebyshev", math.inf, True)],
+                  path, ("r", "kind", "value", "extra"))
+        assert path.read_text().splitlines() == [
+            "r,kind,value,extra",
+            "1,uniform,0.30000000000000004,",
+            "2,chebyshev,inf,1",
+        ]
 
     def test_unwritable_path_raises_oserror_with_path(self, tmp_path):
         target = tmp_path / "missing_dir" / "diag.csv"

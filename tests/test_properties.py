@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 from etdac import cli
 from etdac.config import initial_field, resolve_config
-from etdac.diagnostics import MBP_TOL
+from etdac.diagnostics import MBP_TOL, record
 from etdac.grid import Field, Mesh2D, max_norm, read_field_csv, write_field_csv
 from etdac.potentials import FloryHuggins, GinzburgLandau
 from etdac.scheme import make_scheme, tau_max
@@ -91,11 +91,11 @@ def random_state(n, potential, seed):
        seed=st.integers(0, 2**32 - 1))
 def test_rescaled_steps_keep_the_maximum_bound(n, potential, order, tau, seed):
     plan, u = random_state(n, potential, seed)
-    ctx = StepContext(plan, potential, make_scheme(order, plan.kappa), tau, rescaled=True)
+    ctx = StepContext(plan, potential, make_scheme(order), tau, rescaled=True)
     for i in range(1, 4):
-        u, diag = step(ctx, u, n=i)
+        u, _ = step(ctx, u, n=i)
         assert max_norm(u) <= potential.beta + MBP_TOL
-        assert diag.mbp_ok
+        assert record(ctx, i, u).mbp_ok
 
 
 @settings(deadline=None, max_examples=25)
@@ -104,9 +104,10 @@ def test_rescaled_steps_keep_the_maximum_bound(n, potential, order, tau, seed):
 def test_energy_dissipates_below_tau_max(n, potential, order, frac, seed):
     plan, u = random_state(n, potential, seed)
     tau = frac * tau_max(order, plan.kappa, rescaled=True)
-    ctx = StepContext(plan, potential, make_scheme(order, plan.kappa), tau, rescaled=True)
-    prev = None
+    ctx = StepContext(plan, potential, make_scheme(order), tau, rescaled=True)
+    prev = record(ctx, 0, u).energy
     for i in range(1, 4):
-        u, diag = step(ctx, u, n=i, prev_energy=prev)
+        u, _ = step(ctx, u, n=i)
+        diag = record(ctx, i, u, prev)
         assert diag.dissipation_ok
         prev = diag.energy

@@ -201,19 +201,19 @@ class TestTauMax:
 
 class TestMakeScheme:
     def test_assembles_all_levels(self):
-        spec = make_scheme(5, 2.0)
+        spec = make_scheme(5)
         assert isinstance(spec, SchemeSpec)
         assert list(spec.levels) == [1, 2, 3, 4]
-        assert len(spec.node_sets) == 4
         assert len(spec.systems) == 4
         assert all(isinstance(v, Vandermonde) for v in spec.systems)
-        assert [ns.r for ns in spec.node_sets] == [1, 2, 3, 4]
+        assert [v.r for v in spec.systems] == [1, 2, 3, 4]
+        assert [len(v.nodes) for v in spec.systems] == [2, 3, 4, 5]
 
     def test_order_one_has_no_systems(self):
-        spec = make_scheme(1, 2.0)
+        spec = make_scheme(1)
         assert list(spec.levels) == []
-        assert spec.node_sets == ()
+        assert spec.systems == ()
 
     def test_invalid_order_rejected(self):
         with pytest.raises(ValueError):
-            make_scheme(0, 2.0)
+            make_scheme(0)

@@ -6,6 +6,7 @@ import scipy.fft
 
 import etdac.stepper as stepper
 from conftest import random_field, sinprod
+from etdac.diagnostics import record
 from etdac.grid import Field, Mesh2D, discrete_energy, max_norm
 from etdac.phi import phi_batch
 from etdac.scheme import make_scheme, tau_max
@@ -26,7 +27,7 @@ from oracles import DenseOperator, brute_poly_max, dense_etdrk_step, duhamel_sta
 def make_ctx(mesh, potential, order, tau, rescaled=False, eps=0.1, kappa=None):
     kappa = potential.kappa_min if kappa is None else kappa
     plan = SpectralPlan(mesh, eps, kappa)
-    spec = make_scheme(order, kappa)
+    spec = make_scheme(order)
     return StepContext(plan, potential, spec, tau, rescaled=rescaled)
 
 
@@ -189,26 +190,20 @@ class TestRescaleFactor:
 class TestStepContext:
     def test_rejects_nonpositive_tau(self, mesh8, gl):
         plan = SpectralPlan(mesh8, 0.1, 2.0)
-        spec = make_scheme(2, 2.0)
+        spec = make_scheme(2)
         with pytest.raises(ValueError):
             StepContext(plan, gl, spec, 0.0)
 
     def test_rejects_understabilized_plan(self, mesh8, gl):
         plan = SpectralPlan(mesh8, 0.1, 1.0)
-        spec = make_scheme(2, 1.0)
-        with pytest.raises(ValueError):
-            StepContext(plan, gl, spec, 0.1)
-
-    def test_rejects_kappa_mismatch(self, mesh8, gl):
-        plan = SpectralPlan(mesh8, 0.1, 2.0)
-        spec = make_scheme(2, 3.0)
+        spec = make_scheme(2)
         with pytest.raises(ValueError):
             StepContext(plan, gl, spec, 0.1)
 
     @pytest.mark.parametrize("rescaled", [False, True])
     def test_rejects_order_above_ten(self, mesh8, gl, rescaled):
         plan = SpectralPlan(mesh8, 0.1, 2.0)
-        spec = make_scheme(11, 2.0)
+        spec = make_scheme(11)
         with pytest.raises(ValueError, match="order"):
             StepContext(plan, gl, spec, 0.1, rescaled=rescaled)
 
@@ -285,7 +280,7 @@ def replicate_cascade(ctx, u):
     state = state_of([])
     stages = []
     for j in ctx.spec.levels:
-        nodes = ctx.spec.node_sets[j - 1].nodes
+        nodes = ctx.spec.systems[j - 1].nodes
         d = np.empty((j, mesh.ncells))
         for k in range(1, j + 1):
             w = evaluate_stage(ctx, nodes[k] * ctx.tau, u, state)
@@ -302,9 +297,9 @@ class TestStep:
     def test_constant_one_is_a_fixed_point(self, mesh8, gl):
         for rescaled in (False, True):
             ctx = make_ctx(mesh8, gl, 3, 0.5, rescaled=rescaled)
-            u1, diag = step(ctx, ones_field(mesh8))
+            u1, _ = step(ctx, ones_field(mesh8))
             assert np.max(np.abs(u1.values - 1.0)) < 1e-12
-            assert diag.mbp_ok
+            assert record(ctx, 1, u1).mbp_ok
 
     @pytest.mark.parametrize("rescaled", [False, True])
     def test_vanishing_nonlinearity_reduces_to_the_semigroup(self, mesh8, rescaled):
@@ -321,11 +316,11 @@ class TestStep:
         tau = 0.2
         ctx = make_ctx(mesh8, gl, 1, tau)
         u = sinprod(mesh8, 0.4)
-        u1, diag = step(ctx, u)
+        u1, alpha_min = step(ctx, u)
         n0 = Field(mesh8, ctx.nonlinearity(u.values))
         want = apply_phi(ctx.plan, 0, tau, u).values + tau * apply_phi(ctx.plan, 1, tau, n0).values
         assert np.max(np.abs(u1.values - want)) < 1e-13
-        assert diag.alpha_min == 1.0
+        assert alpha_min == 1.0
 
     def test_step_equals_final_stage_of_the_cascade(self, mesh32, gl):
         for rescaled in (False, True):
@@ -334,21 +329,6 @@ class TestStep:
             u1, _ = step(ctx, u)
             replayed, _ = replicate_cascade(ctx, u)
             assert np.array_equal(u1.values, replayed.values)
-
-    def test_diagnostics_labeling(self, mesh8, gl):
-        ctx = make_ctx(mesh8, gl, 2, 0.1)
-        u = sinprod(mesh8, 0.4)
-        _, diag = step(ctx, u, n=5)
-        assert diag.n == 5
-        assert diag.t == pytest.approx(0.5)
-        _, diag = step(ctx, u, n=2, t=0.33)
-        assert diag.t == 0.33
-
-    def test_dissipation_flag_uses_previous_energy(self, mesh8, gl):
-        ctx = make_ctx(mesh8, gl, 2, 0.01)
-        u = sinprod(mesh8, 0.4)
-        _, diag = step(ctx, u, prev_energy=discrete_energy(u, 0.1, gl))
-        assert diag.dissipation_ok
 
     def test_rejects_non_finite_input(self, mesh8, gl):
         ctx = make_ctx(mesh8, gl, 2, 0.1)
@@ -367,22 +347,23 @@ class TestStep:
         ctx = make_ctx(mesh8, gl, 2, 0.1, rescaled=True)
         with pytest.raises(ValueError):
             step(ctx, Field(mesh8, np.full(mesh8.ncells, 1.0 + 1e-10)))
-        _, diag = step(ctx, Field(mesh8, np.full(mesh8.ncells, 1.0 + 1e-13)))
-        assert diag.mbp_ok
+        u1, _ = step(ctx, Field(mesh8, np.full(mesh8.ncells, 1.0 + 1e-13)))
+        assert record(ctx, 1, u1).mbp_ok
 
     def test_out_of_domain_input_raises_bound_exceeded(self, mesh8, fh):
         ctx = make_ctx(mesh8, fh, 3, 0.1)
         with pytest.raises(BoundExceeded) as info:
-            step(ctx, Field(mesh8, np.full(mesh8.ncells, 1.5)))
-        assert (info.value.level, info.value.stage) == (0, 0)
+            step(ctx, Field(mesh8, np.full(mesh8.ncells, 1.5)), n=7)
+        assert (info.value.level, info.value.stage, info.value.step_index) == (0, 0, 7)
 
     def test_overflowing_state_raises_blowup(self, mesh8, gl):
         ctx = make_ctx(mesh8, gl, 3, 0.1)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalBlowup) as info:
-                step(ctx, Field(mesh8, np.full(mesh8.ncells, 1e200)))
+                step(ctx, Field(mesh8, np.full(mesh8.ncells, 1e200)), n=4)
         assert info.value.level >= 1
         assert info.value.stage >= 1
+        assert info.value.step_index == 4
 
     def test_mesh_mismatch_rejected(self, mesh8, gl):
         ctx = make_ctx(mesh8, gl, 2, 0.1)
@@ -400,7 +381,7 @@ class TestStepDenseOracle:
         got, _ = step(ctx, u)
         want = dense_etdrk_step(
             mesh8, 0.1, ctx.plan.kappa, gl, order,
-            [ns.nodes for ns in ctx.spec.node_sets], tau, u.values, rescaled)
+            [v.nodes for v in ctx.spec.systems], tau, u.values, rescaled)
         rel = np.linalg.norm(got.values - want) / np.linalg.norm(want)
         assert rel < 1e-10
 
@@ -411,7 +392,7 @@ class TestStepDenseOracle:
         got, _ = step(ctx, u)
         want = dense_etdrk_step(
             mesh8, 0.1, ctx.plan.kappa, fh, 3,
-            [ns.nodes for ns in ctx.spec.node_sets], tau, u.values, True)
+            [v.nodes for v in ctx.spec.systems], tau, u.values, True)
         rel = np.linalg.norm(got.values - want) / np.linalg.norm(want)
         assert rel < 1e-10
 
@@ -424,7 +405,7 @@ class TestStepDenseOracle:
         got, _ = step(ctx, u)
         want = dense_etdrk_step(
             mesh32, 0.1, 2.0, gl, 2,
-            [ns.nodes for ns in ctx.spec.node_sets], tau, u.values, False)
+            [v.nodes for v in ctx.spec.systems], tau, u.values, False)
         assert np.max(np.abs(got.values - want)) < 1e-10
 
 
@@ -437,8 +418,8 @@ class TestStructurePreservation:
         u_r = sinprod(mesh32, 0.3)
         for _ in range(3):
             u_s, _ = step(std, u_s)
-            u_r, diag = step(res, u_r)
-            assert diag.alpha_min == 1.0
+            u_r, alpha_min = step(res, u_r)
+            assert alpha_min == 1.0
             assert np.array_equal(u_s.values, u_r.values)
 
     @pytest.mark.parametrize("tau", [1.0, 10.0])
@@ -447,7 +428,8 @@ class TestStructurePreservation:
         ctx = make_ctx(mesh, fh, 4, tau, rescaled=True)
         u = random_field(mesh, 11, -fh.beta + 1e-12, fh.beta - 1e-12)
         for n in range(1, 6):
-            u, diag = step(ctx, u, n=n)
+            u, _ = step(ctx, u, n=n)
+            diag = record(ctx, n, u)
             assert diag.max_norm <= fh.beta + 1e-12
             assert diag.mbp_ok
 
@@ -464,8 +446,8 @@ class TestStructurePreservation:
         ctx = make_ctx(mesh, gl, 5, 10.0, rescaled=True)
         u = random_field(mesh, 17, -1.0 + 1e-12, 1.0 - 1e-12)
         for n in range(1, 6):
-            u, diag = step(ctx, u, n=n)
-            assert diag.max_norm <= 1.0 + 1e-12
+            u, _ = step(ctx, u, n=n)
+            assert max_norm(u) <= 1.0 + 1e-12
 
     @pytest.mark.parametrize("order", [2, 3])
     def test_energy_decays_below_the_proven_bound(self, mesh32, gl, order):
@@ -474,7 +456,8 @@ class TestStructurePreservation:
         u = sinprod(mesh32, 0.5)
         prev = discrete_energy(u, 0.1, gl)
         for n in range(1, 11):
-            u, diag = step(ctx, u, n=n, prev_energy=prev)
+            u, _ = step(ctx, u, n=n)
+            diag = record(ctx, n, u, prev)
             assert diag.dissipation_ok
             assert diag.energy <= prev + 1e-10 * (1.0 + abs(prev))
             prev = diag.energy
@@ -483,21 +466,38 @@ class TestStructurePreservation:
         mesh = Mesh2D(2 * np.pi, 2 * np.pi, 16, 16)
         ctx = make_ctx(mesh, fh, 3, 1.0, rescaled=True)
         u = random_field(mesh, 19, -fh.beta + 1e-12, fh.beta - 1e-12)
-        _, diag = step(ctx, u)
-        assert 0.0 < diag.alpha_min <= 1.0
+        _, alpha_min = step(ctx, u)
+        assert 0.0 < alpha_min <= 1.0
+
+    def test_alpha_min_is_the_minimum_over_every_level(self, monkeypatch, fh):
+        # with this seed level 2 shrinks (alpha 0.99988) and the final level does not
+        mesh = Mesh2D(2 * np.pi, 2 * np.pi, 16, 16)
+        ctx = make_ctx(mesh, fh, 4, 1.0, rescaled=True)
+        u = random_field(mesh, 207, -fh.beta + 1e-12, fh.beta - 1e-12)
+        level_mins = []
+
+        def spy(*args):
+            alpha = rescale_factor(*args)
+            level_mins.append(alpha.values.min())
+            return alpha
+
+        monkeypatch.setattr(stepper, "rescale_factor", spy)
+        _, alpha_min = step(ctx, u)
+        assert level_mins[-1] == 1.0
+        assert alpha_min == min(level_mins) < 1.0
 
 
 def count_transforms(monkeypatch, ctx, u):
-    """(forward, inverse) DCTs made by one step(ctx, u), and its diagnostics."""
+    """(forward, inverse) DCTs made by one step(ctx, u), and its alpha_min."""
     calls = {"dctn": 0, "idctn": 0}
     for name in calls:
         def spy(*args, _name=name, _real=getattr(scipy.fft, name), **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
         monkeypatch.setattr(scipy.fft, name, spy)
-    _, diag = step(ctx, u)
+    _, alpha_min = step(ctx, u)
     monkeypatch.undo()
-    return calls["dctn"], calls["idctn"], diag
+    return calls["dctn"], calls["idctn"], alpha_min
 
 
 class TestTransformCount:
@@ -510,8 +510,8 @@ class TestTransformCount:
     def test_no_shrinking_reuses_the_spectrum_of_n0(self, monkeypatch, mesh32, gl, order, rescaled):
         # small data keeps alpha identically one in rescaled mode too
         ctx = make_ctx(mesh32, gl, order, 0.1, rescaled=rescaled)
-        fwd, inv, diag = count_transforms(monkeypatch, ctx, sinprod(mesh32, 0.3))
-        assert diag.alpha_min == 1.0
+        fwd, inv, alpha_min = count_transforms(monkeypatch, ctx, sinprod(mesh32, 0.3))
+        assert alpha_min == 1.0
         assert fwd == 2 + order * (order - 1) // 2
         assert inv == 1 + order * (order - 1) // 2
 
