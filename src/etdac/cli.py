@@ -31,6 +31,10 @@ __all__ = ["main"]
 
 # far beyond any run this solver can finish; a larger plan is a mistyped tau
 MAX_STEPS = 10**7
+# bytes of phi grids one step context may cache, 8 nx ny each: at 1024^2
+# this admits order 8 (126 grids, 1008 MiB) and refuses orders 9 and 10
+# (173 and 240 grids); at 512^2 it admits every order
+MAX_PHI_CACHE_BYTES = 2**30
 
 
 def _parse_bool(s: str) -> bool:
@@ -107,10 +111,12 @@ def _setup(cfg):
     return potential, plan, initial_field(cfg, mesh, potential)
 
 
-def _integrate(plan, potential, spec, rescaled, tau, t_end, u0):
-    """Run to t_end, recording every state; returns (u, report, error-or-None).
+def _states(plan, potential, spec, rescaled, tau, t_end, u0):
+    """The one run loop: yields (ctx, n, t, u, alpha_min) for the initial
+    state (n = 0) and then after each step to t_end.
 
-    A numerical failure stops the run but keeps the completed records.
+    The last step is shortened to end at t_end when tau leaves a remainder.
+    A numerical failure raises from the step that hit it.
     """
     if rescaled and max_norm(u0) > potential.beta + MBP_TOL:
         raise ConfigError(
@@ -119,32 +125,59 @@ def _integrate(plan, potential, spec, rescaled, tau, t_end, u0):
         )
     m, rem = _split_steps(t_end, tau)
     ctx = StepContext(plan, potential, spec, tau, rescaled=rescaled)
-    report = RunReport()
-    report.append(record(ctx, 0, u0, None))
+    cache = len(ctx.phi_keys()) * plan.eigvals.nbytes
+    if cache > MAX_PHI_CACHE_BYTES:
+        raise ConfigError(
+            f"order {spec.order} on a {plan.mesh.nx}x{plan.mesh.ny} grid caches {cache / 2**20:.0f} MiB "
+            f"of phi grids, above the {MAX_PHI_CACHE_BYTES / 2**20:.0f} MiB budget"
+        )
+    yield ctx, 0, 0.0, u0, 1.0
     u = u0
+    for i in range(1, m + 1 + bool(rem)):
+        t = i * tau
+        if i > m:  # the shortened last step, which ends at t_end
+            ctx, t = StepContext(plan, potential, spec, rem, rescaled=rescaled), t_end
+        u, alpha_min = step(ctx, u, n=i)
+        yield ctx, i, t, u, alpha_min
+
+
+def _integrate(plan, potential, spec, rescaled, tau, t_end, u0):
+    """Run to t_end, recording every state; returns (u, report, error-or-None).
+
+    A numerical failure stops the run but keeps the completed records.
+    """
+    report = RunReport()
     try:
-        for i in range(1, m + 1 + bool(rem)):
-            t = i * tau
-            if i > m:  # the shortened last step, which ends at t_end
-                ctx, t = StepContext(plan, potential, spec, rem, rescaled=rescaled), t_end
-            u, alpha_min = step(ctx, u, n=i)
-            report.append(record(ctx, i, u, report.series[-1].energy, alpha_min=alpha_min, t=t))
+        for ctx, n, t, u, alpha_min in _states(plan, potential, spec, rescaled, tau, t_end, u0):
+            prev_energy = report.series[-1].energy if n else None
+            report.append(record(ctx, n, u, prev_energy, alpha_min=alpha_min, t=t))
     except (BoundExceeded, NumericalBlowup) as exc:
         return u, report, exc
     return u, report, None
 
 
+def _final(plan, potential, spec, rescaled, tau, t_end, u0) -> Field:
+    """The field at t_end, recording nothing; a numerical failure raises."""
+    for _, _, _, u, _ in _states(plan, potential, spec, rescaled, tau, t_end, u0):
+        pass
+    return u
+
+
 def _outdir(cfg) -> str:
+    """The output directory, made before any step so that a bad one costs none."""
     out = cfg["out"]
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {out!r}: {exc}") from exc
     return out
 
 
 def cmd_run(cfg, args) -> int:
     potential, plan, u0 = _setup(cfg)
+    out = _outdir(cfg)
     spec = make_scheme(int(cfg["order"]), cfg["nodes"])
     u, report, err = _integrate(plan, potential, spec, cfg["rescaled"], cfg["tau"], cfg["t_end"], u0)
-    out = _outdir(cfg)
     write_csv(report, os.path.join(out, "diagnostics.csv"))
     write_field_csv(u, os.path.join(out, "field_final.csv"))
     if err is not None:
@@ -204,11 +237,9 @@ def cmd_converge(cfg, args) -> int:
     ref_order, divider = _parse_ref(args.ref, order)
     tau_ref = min(taus) if divider is None else min(taus) / divider
     potential, plan, u0 = _setup(cfg)
+    out = _outdir(cfg)
 
-    ref_spec = make_scheme(ref_order, cfg["nodes"])
-    u_ref, _, err = _integrate(plan, potential, ref_spec, cfg["rescaled"], tau_ref, t_end, u0)
-    if err is not None:
-        raise err
+    u_ref = _final(plan, potential, make_scheme(ref_order, cfg["nodes"]), cfg["rescaled"], tau_ref, t_end, u0)
     ref_linf = max_norm(u_ref)
     ref_l2 = l2_norm(u_ref)
 
@@ -216,9 +247,7 @@ def cmd_converge(cfg, args) -> int:
     rows = []
     prev_errs = None
     for tau in taus:
-        u, _, err = _integrate(plan, potential, spec, cfg["rescaled"], tau, t_end, u0)
-        if err is not None:
-            raise err
+        u = _final(plan, potential, spec, cfg["rescaled"], tau, t_end, u0)
         diff = Field(plan.mesh, u.values - u_ref.values)
         e_linf = max_norm(diff) / ref_linf
         e_l2 = l2_norm(diff) / ref_l2
@@ -234,7 +263,7 @@ def cmd_converge(cfg, args) -> int:
         rows.append((tau, e_linf, rates[0], e_l2, rates[1]))
         prev_errs = (e_linf, e_l2)
 
-    path = os.path.join(_outdir(cfg), "convergence.csv")
+    path = os.path.join(out, "convergence.csv")
     write_csv(rows, path, ("tau", "linf_err", "linf_rate", "l2_err", "l2_rate"))
     print(f"convergence: order={order} ref={'order ' + str(ref_order) if divider is None else 'self'} "
           f"tau_ref={tau_ref:g} grid={cfg['nx']}x{cfg['ny']}")

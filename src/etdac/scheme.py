@@ -90,15 +90,17 @@ class Vandermonde:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve V c = rhs; rhs may stack many systems along axis 1.
 
-        Two sweeps of fixed-precision iterative refinement follow.  On
-        smooth right-hand sides, the kind the cascade produces, they take
-        the residual from about 1e-10 (r = 9, 10) to roundoff.  On random
-        ones at r = 9, where cond(V) is 1.3e7, the relative residual stays
-        near 5e-10 bare and 3e-10 refined: refinement stalls after one sweep.
+        One sweep of fixed-precision iterative refinement follows.  On
+        smooth right-hand sides, the kind the cascade produces, it takes
+        the residual from about 1e-10 (r = 9, 10) to roundoff.  One sweep is
+        enough because fixed-precision refinement stalls after it (Higham,
+        Accuracy and Stability of Numerical Algorithms, ch. 12): on random
+        right-hand sides at r = 9, where cond(V) is 1.3e7, the relative
+        residual is 4.9e-10 bare, 3.0e-10 after one sweep and 2.9e-10
+        after two.
         """
         c = self._inv @ rhs
-        for _ in range(2):
-            c += self._inv @ (rhs - self.matrix @ c)
+        c += self._inv @ (rhs - self.matrix @ c)
         return c
 
 

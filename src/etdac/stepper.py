@@ -112,6 +112,19 @@ class StepContext:
             self._phi_grids[key] = grid
         return grid
 
+    def phi_keys(self) -> set[tuple[int, float]]:
+        """The (j, s) keys a step asks phi_grid for: one cached grid each.
+
+        A level-j stage at s reads phi_0..phi_j, and the final stage at
+        s = tau reads phi_0..phi_r; s is computed as step computes it.
+        """
+        keys = {(j, self.tau) for j in range(self.spec.order + 1)}
+        for level, system in zip(self.spec.levels, self.spec.systems):
+            for k in range(1, level + 1):
+                s = float(system.nodes[k] * self.tau)
+                keys.update((j, s) for j in range(level + 1))
+        return keys
+
     def nonlinearity(self, values: np.ndarray) -> np.ndarray:
         """N(u) = f(u) + kappa u on raw values."""
         return self.potential.f(values) + self.plan.kappa * values

@@ -85,11 +85,11 @@ def test_criterion_03_temporal_convergence_orders(capsys):
     # noise over noise.  Measured Linf ladder (tau = 0.1/2^k, k=0..5):
     #   r=3: 1.118e-3 .. 4.270e-8, rates 2.833 2.912 2.957 2.979 2.992  PASS
     #   r=4: 7.303e-5 .. 8.792e-11, rates 3.818 3.914 3.961 3.984 4.006 PASS
-    #   r=5: 3.870e-6, 1.379e-7, 4.599e-9, 1.473e-10, 3.698e-12, 1.071e-12
-    #        rates 4.811 4.906 4.965 5.316 1.788                        FAIL
+    #   r=5: 3.870e-6, 1.379e-7, 4.599e-9, 1.473e-10, 3.693e-12, 1.102e-12
+    #        rates 4.811 4.906 4.965 5.317 1.745                        FAIL
     # Measured floor at r=5: the 2560- and 5120-step runs, whose truncation
-    # errors are both below ~1e-16, differ by 7.5e-13 (Linf) and 1.7e-12
-    # (l2).  The reference alone carries as much roundoff as the 1.07e-12
+    # errors are both below ~1e-16, differ by 7.8e-13 (Linf) and 1.7e-12
+    # (l2).  The reference alone carries as much roundoff as the 1.10e-12
     # error being measured on the 640-step rung.
     # Order-5 stepping itself is verified against a dense-eigendecomposition
     # oracle at 1e-10 relative in criterion 8.

@@ -7,9 +7,11 @@ import pytest
 
 from etdac import cli
 from etdac.cli import main
+from etdac.config import default_config
 from etdac.diagnostics import DISSIPATION_RTOL
 from etdac.grid import Field, Mesh2D, write_field_csv
-from etdac.scheme import Vandermonde, make_nodes, sigma_min, tau_max
+from etdac.scheme import Vandermonde, make_nodes, make_scheme, sigma_min, tau_max
+from etdac.stepper import NumericalBlowup
 
 
 def read_rows(path):
@@ -154,6 +156,8 @@ class TestExitCodes:
         ["converge", "--grid", "8", "--taus", "1e-300,2e-300,4e-300"],
         ["converge", "--grid", "8", "--taus", "1e-320,2e-320,4e-320"],
         ["energy-test", "--grid", "8", "--t-end", "1e300"],
+        # 173 phi grids of 8 MiB, past cli.MAX_PHI_CACHE_BYTES
+        ["run", "--grid", "1024", "--order", "9", "--t-end", "0.1"],
     ])
     def test_config_errors_exit_2(self, tmp_path, argv, capsys):
         if isinstance(argv[-1], dict):
@@ -207,6 +211,27 @@ class TestExitCodes:
         assert rc == 2
         assert "max norm" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--grid", "8", "--t-end", "0.3"],
+        ["converge", "--grid", "8", "--order", "2", "--t-end", "0.2", "--taus", "0.1,0.05,0.025"],
+        ["tables"],
+    ], ids=["run", "converge", "tables"])
+    def test_unmakeable_out_exits_2_before_any_step(self, tmp_path, monkeypatch, capsys, argv):
+        steps = []
+        real_step = cli.step
+
+        def spy(ctx, u, **kwargs):
+            steps.append(kwargs["n"])
+            return real_step(ctx, u, **kwargs)
+
+        monkeypatch.setattr(cli, "step", spy)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        rc = main(argv + ["--out", str(blocker / "sub")])
+        assert rc == 2
+        assert "config error: cannot make output directory" in capsys.readouterr().err
+        assert steps == []
+
     def test_unknown_choice_exits_2_via_argparse(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["run", "--potential", "quartic"])
@@ -229,6 +254,49 @@ class TestExitCodes:
         rows = read_rows(out / "diagnostics.csv")
         assert len(rows) == 1
         assert rows[0]["energy"] == "inf"
+
+
+class TestRunLoop:
+    """One loop steps every command: _integrate records each state it
+    yields, converge keeps only the last."""
+
+    def setup_method(self):
+        cfg = default_config()
+        cfg.update(nx=16, ny=16, potential={"kind": "fh"}, init={"kind": "random", "seed": 4, "amplitude": 0.9})
+        self.potential, self.plan, self.u0 = cli._setup(cfg)
+
+    def test_record_runs_once_per_state_and_never_in_converge(self, tmp_path, monkeypatch):
+        calls = []
+        real_record = cli.record
+
+        def spy(*args, **kwargs):
+            calls.append(args[1])
+            return real_record(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "record", spy)
+        assert main(["converge", "--grid", "8", "--order", "2", "--t-end", "0.2",
+                     "--taus", "0.1,0.05,0.025", "--out", str(tmp_path / "c")]) == 0
+        assert calls == []
+        assert main(["run", "--grid", "8", "--tau", "0.1", "--t-end", "0.25",
+                     "--out", str(tmp_path / "r")]) == 0
+        assert calls == [0, 1, 2, 3]
+
+    def test_failure_at_step_one_keeps_the_initial_record(self, monkeypatch):
+        def fail(ctx, u, *, n):
+            raise NumericalBlowup(1, 1, n)
+
+        monkeypatch.setattr(cli, "step", fail)
+        u, report, err = cli._integrate(self.plan, self.potential, make_scheme(3), True, 0.5, 2.0, self.u0)
+        assert u is self.u0
+        assert isinstance(err, NumericalBlowup) and err.step_index == 1
+        assert [(d.n, d.t) for d in report.series] == [(0, 0.0)]
+
+    @pytest.mark.parametrize("rescaled", [False, True])
+    def test_final_field_equals_the_recorded_runs(self, rescaled):
+        args = (self.plan, self.potential, make_scheme(4), rescaled, 5.0, 20.0, self.u0)
+        u, report, err = cli._integrate(*args)
+        assert err is None and len(report.series) == 5
+        assert np.array_equal(cli._final(*args).values, u.values)
 
 
 class TestConverge:

@@ -226,6 +226,17 @@ class TestStepContext:
             want = tau * math.factorial(j - 1) * (s / tau) ** j * phi_batch(j, z)
             assert np.array_equal(ctx.phi_grid(j, s), want)
 
+    @pytest.mark.parametrize("kind", ["uniform", "chebyshev"])
+    @pytest.mark.parametrize("order", range(1, 8))
+    def test_phi_keys_are_the_grids_a_step_caches(self, mesh8, gl, order, kind):
+        # the CLI sizes the cache from phi_keys before the first step
+        plan = SpectralPlan(mesh8, 0.1, 2.0)
+        ctx = StepContext(plan, gl, make_scheme(order, kind), 0.3)
+        keys = ctx.phi_keys()
+        step(ctx, sinprod(mesh8), n=1)
+        assert keys == set(ctx._phi_grids)
+        assert len(keys) == {3: 7, 5: 29, 7: 77}.get(order, len(keys))
+
 
 class TestEvaluateStage:
     def test_level_one_is_the_exponential_euler_formula(self, mesh8, gl):
