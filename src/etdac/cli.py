@@ -125,7 +125,7 @@ def _states(plan, potential, spec, rescaled, tau, t_end, u0):
         )
     m, rem = _split_steps(t_end, tau)
     ctx = StepContext(plan, potential, spec, tau, rescaled=rescaled)
-    cache = len(ctx.phi_keys()) * plan.eigvals.nbytes
+    cache = len(ctx.phi_keys()) * 8 * plan.mesh.ncells
     if cache > MAX_PHI_CACHE_BYTES:
         raise ConfigError(
             f"order {spec.order} on a {plan.mesh.nx}x{plan.mesh.ny} grid caches {cache / 2**20:.0f} MiB "
@@ -354,7 +354,8 @@ def main(argv=None) -> int:
         if args.dump_config:
             print(json.dumps(cfg, indent=2, sort_keys=True))
         return args.func(cfg, args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
+        # OSError: an output file the writers could not write inside --out
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (BoundExceeded, NumericalBlowup) as exc:

@@ -110,11 +110,14 @@ def write_field_csv(u: Field, path) -> None:
     """Field snapshot: header ``i,j,x,y,u``, one row per cell in storage order."""
     xg, yg = u.mesh.cell_centers()
     xs = [f"{x:.17g}" for x in xg[0].tolist()]
-    with open(path, "w", newline="") as fh:
-        fh.write("i,j,x,y,u\n")
-        for j, row in enumerate(u.grid().tolist()):
-            mid, y = f",{j},", f",{yg[j, 0]:.17g},"
-            fh.write("".join(f"{i}{mid}{x}{y}{v:.17g}\n" for i, (x, v) in enumerate(zip(xs, row))))
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write("i,j,x,y,u\n")
+            for j, row in enumerate(u.grid().tolist()):
+                mid, y = f",{j},", f",{yg[j, 0]:.17g},"
+                fh.write("".join(f"{i}{mid}{x}{y}{v:.17g}\n" for i, (x, v) in enumerate(zip(xs, row))))
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc}") from exc
 
 
 def read_field_csv(mesh: Mesh2D, path) -> Field:

@@ -24,7 +24,11 @@ class SpectralPlan:
     """Immutable eigendecomposition data for L = eps^2 Lap_h - kappa I.
 
     eigvals[j, i] = eps^2 (mu_x[i] + mu_y[j]) - kappa, all <= -kappa < 0;
-    the constant mode (0, 0) sits exactly at -kappa.
+    the constant mode (0, 0) sits exactly at -kappa.  The plan stores the
+    sorted distinct eigenvalues, values, and an (ny, nx) int32 index with
+    values[index] == eigvals, so that an elementwise function of the
+    spectrum is evaluated once per distinct value: about half the cells
+    on a square mesh, where eigvals is symmetric.
     """
 
     def __init__(self, mesh: Mesh2D, eps: float, kappa: float):
@@ -37,8 +41,16 @@ class SpectralPlan:
         self.kappa = float(kappa)
         mux = -(4.0 / mesh.hx**2) * np.sin(np.arange(mesh.nx) * np.pi / (2 * mesh.nx)) ** 2
         muy = -(4.0 / mesh.hy**2) * np.sin(np.arange(mesh.ny) * np.pi / (2 * mesh.ny)) ** 2
-        self.eigvals = eps * eps * (mux[None, :] + muy[:, None]) - kappa
-        self.eigvals.flags.writeable = False
+        eigvals = eps * eps * (mux[None, :] + muy[:, None]) - kappa
+        self.values, index = np.unique(eigvals, return_inverse=True)
+        self.index = index.reshape(eigvals.shape).astype(np.int32)
+        self.values.flags.writeable = False
+        self.index.flags.writeable = False
+
+    @property
+    def eigvals(self) -> np.ndarray:
+        """The (ny, nx) eigenvalue grid, gathered anew on each access."""
+        return self.values[self.index]
 
 
 def apply_phi(plan: SpectralPlan, j: int, s: float, v: Field) -> Field:

@@ -99,17 +99,18 @@ class StepContext:
         """c * phi_j(s * eigvals) as a (ny, nx) array, memoized on (j, s).
 
         c is the scalar of phi_j in the stage formula: 1 for j = 0, s for
-        j = 1 and tau (j-1)! (s/tau)^j for j >= 2.
+        j = 1 and tau (j-1)! (s/tau)^j for j >= 2.  Both act elementwise,
+        so tabulating on plan.values and gathering by plan.index is exact.
         """
         key = (j, float(s))
         grid = self._phi_grids.get(key)
         if grid is None:
-            grid = phi_batch(j, s * self.plan.eigvals)
+            table = phi_batch(j, s * self.plan.values)
             if j == 1:
-                grid *= s
+                table *= s
             elif j > 1:
-                grid *= self.tau * math.factorial(j - 1) * (s / self.tau) ** j
-            self._phi_grids[key] = grid
+                table *= self.tau * math.factorial(j - 1) * (s / self.tau) ** j
+            grid = self._phi_grids[key] = table[self.plan.index]
         return grid
 
     def phi_keys(self) -> set[tuple[int, float]]:
@@ -136,17 +137,19 @@ class StageState:
 
     poly is (level+1, ncells): row 0 is the unscaled N(u_n) and row m the
     coefficient c_m of (s/tau)^m.  alpha is the pointwise scaling factor,
-    None where it is one at every point, and alpha_min its minimum (1.0
-    for None); hats[m] is the transform of alpha*poly[m], so the state's
-    level is len(hats) - 1.  hat0, when given, is that transform of row 0,
-    already computed.
+    None for one at every point, and alpha_min its minimum, taken once;
+    hats[m] is the transform of alpha*poly[m], so the state's level is
+    len(hats) - 1.  Where alpha_min is one, 1.0 * poly is poly, so the
+    rows go unscaled, and hat0, when given, is called for row 0's
+    transform, which the caller already has.
     """
 
-    def __init__(self, mesh: Mesh2D, poly: np.ndarray, alpha: Field = None, hat0: np.ndarray = None):
+    def __init__(self, mesh: Mesh2D, poly: np.ndarray, alpha: Field = None, hat0=None):
         self.alpha_min = 1.0 if alpha is None else float(alpha.values.min())
-        rows = poly if alpha is None else alpha.values * poly
-        if hat0 is None:
-            hat0 = _dct(mesh, rows[0])
+        rows = poly
+        if self.alpha_min != 1.0:
+            rows, hat0 = alpha.values * poly, None
+        hat0 = _dct(mesh, rows[0]) if hat0 is None else hat0()
         self.hats = [hat0] + [_dct(mesh, row) for row in rows[1:]]
 
 
@@ -155,13 +158,11 @@ def _dct(mesh: Mesh2D, values: np.ndarray) -> np.ndarray:
 
 
 def _make_state(ctx: StepContext, poly: np.ndarray, n0_hat) -> StageState:
-    """The level's state.  Where alpha is one at every point, 1.0 * N(u_n)
-    is N(u_n), so the step's one transform of it, n0_hat(), is row 0's."""
+    """The level's state.  Where alpha is one at every point, row 0 is
+    N(u_n), whose transform is the step's one, n0_hat()."""
     mesh = ctx.plan.mesh
     alpha = rescale_factor(mesh, poly, ctx.kappa_beta) if ctx.rescaled else None
-    if alpha is None or alpha.values.min() == 1.0:
-        return StageState(mesh, poly, hat0=n0_hat())
-    return StageState(mesh, poly, alpha)
+    return StageState(mesh, poly, alpha, hat0=n0_hat)
 
 
 def _stage_values(ctx: StepContext, s: float, u_hat: np.ndarray, state: StageState) -> np.ndarray:

@@ -232,6 +232,14 @@ class TestExitCodes:
         assert "config error: cannot make output directory" in capsys.readouterr().err
         assert steps == []
 
+    @pytest.mark.parametrize("name", ["diagnostics.csv", "field_final.csv"])
+    def test_unwritable_output_file_exits_2(self, tmp_path, capsys, name):
+        out = tmp_path / "o"
+        (out / name).mkdir(parents=True)
+        rc = main(["run", "--grid", "8", "--t-end", "0.3", "--out", str(out)])
+        assert rc == 2
+        assert f"config error: cannot write {out / name}" in capsys.readouterr().err
+
     def test_unknown_choice_exits_2_via_argparse(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["run", "--potential", "quartic"])

@@ -35,6 +35,29 @@ class TestSpectralPlan:
         assert plan8.eigvals[0, 0] == -2.0
         assert np.all(plan8.eigvals <= -2.0)
 
+    @pytest.mark.parametrize("mesh", [
+        Mesh2D(2 * np.pi, 2 * np.pi, 16, 16),
+        Mesh2D(2 * np.pi, np.pi, 12, 8),
+    ], ids=["square", "rectangle"])
+    def test_distinct_values_gather_to_the_eigenvalue_grid(self, mesh):
+        eps, kappa = 0.1, 2.0
+        plan = SpectralPlan(mesh, eps, kappa)
+        mux = -(4.0 / mesh.hx**2) * np.sin(np.arange(mesh.nx) * np.pi / (2 * mesh.nx)) ** 2
+        muy = -(4.0 / mesh.hy**2) * np.sin(np.arange(mesh.ny) * np.pi / (2 * mesh.ny)) ** 2
+        want = eps * eps * (mux[None, :] + muy[:, None]) - kappa
+        assert plan.index.shape == (mesh.ny, mesh.nx) and plan.index.dtype == np.int32
+        assert plan.values[plan.index].tobytes() == want.tobytes()
+        assert plan.eigvals.tobytes() == want.tobytes()
+        assert np.all(np.diff(plan.values) > 0)
+        for arr in (plan.values, plan.index):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    def test_square_mesh_keeps_at_most_the_upper_triangle(self):
+        n = 16
+        plan = SpectralPlan(Mesh2D(2 * np.pi, 2 * np.pi, n, n), 0.1, 2.0)
+        assert plan.values.size <= n * (n + 1) // 2
+
     def test_rejects_bad_parameters(self, mesh8):
         with pytest.raises(ValueError):
             SpectralPlan(mesh8, 0.0, 1.0)

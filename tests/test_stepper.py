@@ -215,16 +215,16 @@ class TestStepContext:
         assert n[2] == 0.0
 
     def test_phi_grids_are_memoized(self, mesh8, gl):
-        # each grid is cached already multiplied by its stage-formula scalar
-        tau, s = 0.1, 0.05
-        ctx = make_ctx(mesh8, gl, 4, tau)
-        assert ctx.phi_grid(1, s) is ctx.phi_grid(1, s)
-        z = s * ctx.plan.eigvals
-        assert np.array_equal(ctx.phi_grid(0, s), phi_batch(0, z))
-        assert np.array_equal(ctx.phi_grid(1, s), s * phi_batch(1, z))
-        for j in (2, 3, 4):
-            want = tau * math.factorial(j - 1) * (s / tau) ** j * phi_batch(j, z)
-            assert np.array_equal(ctx.phi_grid(j, s), want)
+        # each grid is cached already multiplied by its stage-formula scalar,
+        # bit for bit phi_batch on every cell of the eigenvalue grid, on a
+        # square mesh and on one whose eigenvalues are not symmetric
+        tau = 0.1
+        for mesh in (mesh8, Mesh2D(2 * np.pi, np.pi, 12, 8)):
+            ctx = make_ctx(mesh, gl, 5, tau)
+            for j, s in ctx.phi_keys() | {(j, 0.05) for j in range(5)}:
+                c = 1.0 if j == 0 else s if j == 1 else tau * math.factorial(j - 1) * (s / tau) ** j
+                assert ctx.phi_grid(j, s) is ctx.phi_grid(j, s)
+                assert np.array_equal(ctx.phi_grid(j, s), c * phi_batch(j, s * ctx.plan.eigvals))
 
     @pytest.mark.parametrize("kind", ["uniform", "chebyshev"])
     @pytest.mark.parametrize("order", range(1, 8))
