@@ -23,6 +23,7 @@ modes produce bit-identical steps whenever the computed a is one everywhere.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -46,6 +47,7 @@ __all__ = [
 ]
 
 _REAL_ROOT_TOL = 1e-10
+_CELLS, _NEWTON_STEPS, _BLOCK = 8, 8, 2048  # the search for derivative roots of degree >= 3
 # phi's 1e-13 contract and the Vandermonde residual tests cover j <= 10
 MAX_ORDER = 10
 
@@ -239,13 +241,17 @@ def rescale_factor(mesh: Mesh2D, poly: np.ndarray, kappa_beta: float) -> Field:
     interval.  Two certificates precede the exact maximization: the
     coefficient l1 bound, then the Bernstein coefficient bound (a polynomial
     on [0, 1] stays inside the convex hull of its Bernstein coefficients).
-    Both only ever certify a = 1, so the exact companion-matrix maximum
-    still decides every point that might need shrinking.
+    Both only ever certify a = 1; the exact maximum decides every other
+    point, its critical points from Bernstein isolation and Newton, and from
+    companion eigenvalues where that is inconclusive (polynomial_abs_max).
     """
     if kappa_beta <= 0:
         raise ValueError("kappa_beta must be positive")
     alpha = np.ones(mesh.ncells)
-    suspicious = np.nonzero(np.sum(np.abs(poly), axis=0) > kappa_beta)[0]
+    l1 = np.sum(np.abs(poly), axis=0)
+    if not np.all(np.isfinite(l1)):
+        raise ValueError("polynomial coefficients must be finite")
+    suspicious = np.nonzero(l1 > kappa_beta)[0]
     if suspicious.size and poly.shape[0] > 1:
         bern = np.abs(_bernstein_matrix(poly.shape[0] - 1) @ poly[:, suspicious])
         suspicious = suspicious[bern.max(axis=0) > kappa_beta]
@@ -269,15 +275,19 @@ def polynomial_abs_max(coeffs) -> tuple[float, float]:
     """(max, argmax) of |c_0 + c_1 s + ... + c_d s^d| over s in [0, 1].
 
     Candidates are s = 0, s = 1, and the real roots of the derivative in
-    (0, 1); derivative roots come from companion-matrix eigenvalues, a root
-    counting as real when |imag| <= 1e-10 (1 + |real|).  All-zero
-    coefficients give (0, 0).
+    (0, 1): closed forms up to degree 2, then Bernstein isolation on 8
+    cells and safeguarded Newton.  Points that this leaves inconclusive
+    take companion-matrix eigenvalues, a root counting as real when
+    |imag| <= 1e-10 (1 + |real|).  All-zero coefficients give (0, 0),
+    and coefficients that are not finite a ValueError.
     """
     c = np.atleast_1d(np.asarray(coeffs, dtype=np.float64))
     if c.ndim != 1 or c.size == 0:
         raise ValueError("coeffs must be a nonempty 1D sequence")
     if c.size > 10:
         raise ValueError("polynomial degree must be <= 9")
+    if not np.all(np.isfinite(c)):
+        raise ValueError("coeffs must be finite")
     m, s = _poly_abs_max_many(c[:, None])
     return float(m[0]), float(s[0])
 
@@ -301,9 +311,65 @@ def _poly_abs_max_many(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     eff = np.where(nonzero.any(axis=0), (d - 1) - np.argmax(nonzero[::-1], axis=0), -1)
     for e in range(1, d):
         pts = np.nonzero(eff == e)[0]
+        if e >= 3 and pts.size:
+            pts = np.concatenate([blk[_newton_critical(best, arg, c, deriv[: e + 1, blk], blk)]
+                                  for blk in np.split(pts, range(_BLOCK, pts.size, _BLOCK))])
         if pts.size:
             _update_from_roots(best, arg, c, _roots(deriv[: e + 1, pts]), pts)
     return best, arg
+
+
+@functools.cache
+def _cell_bernstein(e: int) -> np.ndarray:
+    """Monomial-to-Bernstein change of basis on each cell [k, k+1] / _CELLS."""
+    shift = [[[math.comb(i, j) * k ** (i - j) / _CELLS**i if j <= i else 0.0 for i in range(e + 1)]
+              for j in range(e + 1)] for k in range(_CELLS)]
+    return _bernstein_matrix(e) @ np.array(shift)
+
+
+def _newton_critical(best, arg, c, dc, pts) -> np.ndarray:
+    """Raise best/arg at pts to |P| at the roots of P' (coefficients dc,
+    degree e >= 3, nonzero lead); returns the mask of inconclusive points:
+    a cell's Bernstein coefficients change sign twice or more (a zero
+    counts as negative, which can only add changes), or a root's last
+    Newton step exceeds 1e-10 and leaves the bracket or moves |P| by more
+    than 1e-16 relative.  Every operation acts per point."""
+    e, n = dc.shape[0] - 1, dc.shape[1]
+    changes, ends = np.empty((_CELLS, n), dtype=np.intp), np.empty((2, _CELLS, n))
+    b, tmp = np.empty((2, e + 1, n))
+    for k, mat in enumerate(_cell_bernstein(e)):
+        np.multiply(mat[:, :1], dc[0], out=b)
+        for j in range(1, e + 1):
+            b += np.multiply(mat[:, j : j + 1], dc[j], out=tmp)
+        pos = b > 0.0
+        changes[k] = np.count_nonzero(pos[1:] != pos[:-1], axis=0)
+        ends[:, k] = b[:: e]
+    failed = (changes > 1).any(axis=0)
+    cell, col = np.divmod(np.flatnonzero((changes == 1) & ~failed), n)
+    left, right = ends[:, cell, col]
+    # one sign change: flip P' to be <= 0 at the left end, start at the secant
+    g = dc[:, col] * np.where(left > 0.0, -1.0, 1.0)
+    lo, hi = cell / _CELLS, (cell + 1) / _CELLS
+    x = lo + left / (left - right) / _CELLS
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for it in range(_NEWTON_STEPS + 1):
+            f, fp = g[e] * x + g[e - 1], g[e].copy()
+            for row in g[e - 2 :: -1]:
+                np.add(np.multiply(fp, x, out=fp), f, out=fp)
+                np.add(np.multiply(f, x, out=f), row, out=f)
+            step = f / fp
+            if it == _NEWTON_STEPS:
+                break
+            lo, hi = np.where(f > 0.0, lo, x), np.where(f > 0.0, x, hi)
+            x -= step
+            np.copyto(x, 0.5 * (lo + hi), where=~((x >= lo) & (x <= hi)))
+        val = _abs_at(c, pts[col], x)
+        ok = (np.abs(step) <= 1e-10) | ((x - step >= lo) & (x - step <= hi) & (np.abs(f * step) <= 1e-16 * val))
+    failed[col[~ok]] = True
+    val[failed[col]] = -1.0
+    for a, z in itertools.pairwise(np.searchsorted(cell, np.arange(_CELLS + 1))):
+        _raise_to(best, arg, pts[col[a:z]], val[a:z], x[a:z])
+    return failed
 
 
 def _roots(dcoeffs: np.ndarray) -> np.ndarray:
@@ -329,21 +395,25 @@ def _roots(dcoeffs: np.ndarray) -> np.ndarray:
 
 
 def _update_from_roots(best, arg, c, roots, pts):
-    d = c.shape[0] - 1
     for k in range(roots.shape[1]):
         re = roots[:, k].real
         im = roots[:, k].imag
         ok = (np.abs(im) <= _REAL_ROOT_TOL * (1.0 + np.abs(re))) & (re > 0.0) & (re < 1.0)
-        if not ok.any():
-            continue
-        cols = pts[ok]
-        x = re[ok]
-        acc = c[d, cols].copy()
-        for m in range(d - 1, -1, -1):
-            acc = acc * x + c[m, cols]
-        vals = np.abs(acc)
-        upd = vals > best[cols]
-        if upd.any():
-            tgt = cols[upd]
-            best[tgt] = vals[upd]
-            arg[tgt] = x[upd]
+        cols, x = pts[ok], re[ok]
+        _raise_to(best, arg, cols, _abs_at(c, cols, x), x)
+
+
+def _abs_at(c: np.ndarray, cols: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """|sum_m c[m, cols] x^m| by Horner, one gathered row at a time."""
+    acc = c[-1, cols]
+    for row in c[-2::-1]:
+        acc *= x
+        acc += row[cols]
+    return np.abs(acc)
+
+
+def _raise_to(best, arg, tgt, vals, x):
+    """best[tgt] = vals and arg[tgt] = x where vals > best[tgt]; tgt distinct."""
+    upd = vals > best[tgt]
+    best[tgt[upd]] = vals[upd]
+    arg[tgt[upd]] = x[upd]

@@ -114,22 +114,26 @@ def brute_poly_max_many(coeffs: np.ndarray, npts: int = 100001, chunk: int = 200
     return out
 
 
-def poly_abs_max_exact(coeffs) -> float:
-    """max |P| over [0, 1] via extended-precision derivative roots."""
-    c = [mp.mpf(x) for x in coeffs]
-    while len(c) > 1 and c[-1] == 0:
-        c.pop()
-    candidates = [mp.mpf(0), mp.mpf(1)]
-    dc = [k * c[k] for k in range(1, len(c))]
-    while len(dc) > 1 and dc[-1] == 0:
-        dc.pop()
-    if len(dc) >= 2:
-        roots = mp.polyroots(list(reversed(dc)), maxsteps=200, extraprec=80)
-        for root in roots:
-            if abs(mp.im(root)) < mp.mpf("1e-25") and 0 < mp.re(root) < 1:
-                candidates.append(mp.re(root))
-    vals = [abs(mp.polyval(list(reversed(c)), x)) for x in candidates]
-    return float(max(vals))
+def exact_poly_max(coeffs, dps: int = 40) -> float:
+    """max |P| over [0, 1] at dps digits.
+
+    The candidates are both endpoints and the real part, clamped to [0, 1],
+    of every root of P' (mpmath polyroots, started from numpy's roots only
+    to converge in fewer sweeps).  Every candidate is a point of [0, 1] and
+    every real critical point is a candidate, so no tolerance has to decide
+    which roots are real.
+    """
+    with mp.workdps(dps):
+        c = [mp.mpf(float(x)) for x in coeffs]
+        dc = [k * c[k] for k in range(1, len(c))]
+        while dc and dc[-1] == 0:
+            dc.pop()
+        candidates = [mp.mpf(0), mp.mpf(1)]
+        if len(dc) >= 2:
+            start = [mp.mpc(complex(z)) for z in np.roots([float(x) for x in reversed(dc)])]
+            roots = mp.polyroots(list(reversed(dc)), maxsteps=200, extraprec=2 * dps, roots_init=start)
+            candidates += [min(max(mp.re(r), 0), 1) for r in roots]
+        return float(max(abs(mp.polyval(list(reversed(c)), x)) for x in candidates))
 
 
 def dense_etdrk_step(mesh, eps, kappa, potential, order, node_sets, tau, u0, rescaled):
@@ -149,7 +153,7 @@ def dense_etdrk_step(mesh, eps, kappa, potential, order, node_sets, tau, u0, res
             return np.ones_like(n0)
         a = np.empty_like(n0)
         for p in range(len(n0)):
-            m = poly_abs_max_exact([coeff_stack[q][p] for q in range(len(coeff_stack))])
+            m = exact_poly_max([coeff_stack[q][p] for q in range(len(coeff_stack))])
             a[p] = min(kb / m, 1.0) if m > 0 else 1.0
         return a
 

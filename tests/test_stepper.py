@@ -21,7 +21,7 @@ from etdac.stepper import (
     rescale_factor,
     step,
 )
-from oracles import DenseOperator, brute_poly_max, dense_etdrk_step, duhamel_stage
+from oracles import DenseOperator, brute_poly_max, dense_etdrk_step, duhamel_stage, exact_poly_max
 
 
 def make_ctx(mesh, potential, order, tau, rescaled=False, eps=0.1, kappa=None):
@@ -119,6 +119,12 @@ class TestPolynomialAbsMax:
         assert m == pytest.approx(0.25, abs=1e-14)
         assert s == pytest.approx(0.5, abs=1e-12)
 
+    @pytest.mark.parametrize("coeffs", [[0.0, 1.0, np.nan], [np.nan, 1.0, 2.0, 3.0, 4.0],
+                                        [1.0, np.inf, 2.0, 3.0], [0.5, -1.0, 2.0, -np.inf]])
+    def test_non_finite_coefficients_rejected(self, coeffs):
+        with pytest.raises(ValueError, match="finite"):
+            polynomial_abs_max(coeffs)
+
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValueError):
             polynomial_abs_max([])
@@ -126,6 +132,63 @@ class TestPolynomialAbsMax:
             polynomial_abs_max(np.zeros((2, 2)))
         with pytest.raises(ValueError):
             polynomial_abs_max(np.zeros(11))
+
+
+def _integral(roots, scale=1.0, const=0.0):
+    """Coefficients of const + scale * int_0^s prod (t - r) dt."""
+    deriv = scale * np.polynomial.polynomial.polyfromroots(roots)
+    return np.polynomial.polynomial.polyint(deriv, k=[const])
+
+
+def _two_roots_in_one_cell():
+    # the maximum sits at 0.95, and 0.99 shares its cell [7/8, 1]
+    return _integral([0.95, 0.99, -0.5, -2.0], 60.0, 0.1)
+
+
+# cases where the Bernstein-isolated Newton search is stressed; each is
+# checked against the 40-digit oracle to 1e-14 relative
+EXACT_CASES = {
+    "two_roots_in_one_cell": _two_roots_in_one_cell(),
+    "double_root_flat_inflection": _integral([0.4, 0.4, 0.9, -1.0], 10.0, -0.2),
+    # integer coefficients, so P'(3/8) is exactly zero: the maximum is there
+    "root_on_a_cell_edge": _integral([0.375, 1.5, -2.0], 192.0, 0.3),
+    "derivative_zero_at_zero": np.array([0.3, 0.0, -2.0, 1.5, 0.4, -0.7]),
+    "vanishing_leading_coefficients": np.array([0.1, 0.5, -3.0, 2.5, 1.0, 0.0, 0.0]),
+    "degree_9": np.random.default_rng(9).uniform(-2.0, 2.0, 10),
+}
+
+
+class TestExactMaximum:
+    @pytest.mark.parametrize("name", sorted(EXACT_CASES))
+    def test_adversarial_case_matches_oracle(self, name):
+        coeffs = EXACT_CASES[name]
+        m, s = polynomial_abs_max(coeffs)
+        want = exact_poly_max(coeffs)
+        assert abs(m - want) <= 1e-14 * want
+        assert abs(np.polynomial.polynomial.polyval(s, coeffs)) == pytest.approx(m, rel=1e-14)
+
+    def test_two_roots_in_one_cell_take_the_eigenvalue_path(self, monkeypatch):
+        inconclusive = []
+        newton = stepper._newton_critical
+
+        def spy(*args):
+            failed = newton(*args)
+            inconclusive.append(failed.copy())
+            return failed
+
+        monkeypatch.setattr(stepper, "_newton_critical", spy)
+        polynomial_abs_max(_two_roots_in_one_cell())
+        assert len(inconclusive) == 1 and inconclusive[0].tolist() == [True]
+
+    @pytest.mark.parametrize("degree", range(3, 10))
+    def test_random_polynomials_match_oracle(self, degree):
+        rng = np.random.default_rng(1000 + degree)
+        worst = 0.0
+        for coeffs in rng.uniform(-2.0, 2.0, (1000, degree + 1)):
+            m, _ = polynomial_abs_max(coeffs)
+            want = exact_poly_max(coeffs)
+            worst = max(worst, abs(m - want) / want)
+        assert worst <= 1e-14
 
 
 class TestRescaleFactor:
@@ -185,6 +248,38 @@ class TestRescaleFactor:
     def test_nonpositive_bound_rejected(self):
         with pytest.raises(ValueError):
             rescale(Field(self.mesh, np.full(self.mesh.ncells, 1.0)), [], 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coefficient_rejected(self, bad):
+        # an l1 sum of NaN never exceeds the bound, which used to give a = 1
+        poly = np.ones((4, self.mesh.ncells))
+        poly[2, 5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            rescale_factor(self.mesh, poly, 2.0)
+
+    def test_factor_is_independent_of_the_batch(self):
+        # wider than one block of the critical-point search, with a bound
+        # below every certificate so that every point takes the exact max
+        rng = np.random.default_rng(11)
+        head = Mesh2D(1.0, 1.0, stepper._BLOCK // 16, 16)
+        tail = Mesh2D(1.0, 1.0, 16, 16)
+        mesh = Mesh2D(1.0, 1.0, head.nx + tail.nx, 16)
+        assert head.ncells == stepper._BLOCK
+        poly = rng.uniform(-2.0, 2.0, (7, mesh.ncells))
+        poly[5:, ::3] = 0.0
+        poly[:6, :50] = _two_roots_in_one_cell()[:, None] * rng.uniform(0.5, 2.0, 50)
+        poly[6, :50] = 0.0
+        kb = 1e-3
+        alpha = rescale_factor(mesh, poly, kb).values
+        single = [min(kb / max(polynomial_abs_max(poly[:, p])[0], 1e-300), 1.0)
+                  for p in range(mesh.ncells)]
+        assert np.array_equal(alpha, single)
+        perm = rng.permutation(mesh.ncells)
+        split = np.concatenate([
+            rescale_factor(head, poly[:, perm[: head.ncells]], kb).values,
+            rescale_factor(tail, poly[:, perm[head.ncells :]], kb).values,
+        ])
+        assert np.array_equal(split, alpha[perm])
 
 
 class TestStepContext:
