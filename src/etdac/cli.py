@@ -25,7 +25,7 @@ from .config import (
 from .diagnostics import MBP_TOL, RunReport, record, write_csv
 from .grid import Field, l2_norm, max_norm, write_field_csv
 from .scheme import Vandermonde, make_nodes, make_scheme, sigma_min, tau_max
-from .stepper import BoundExceeded, NumericalBlowup, StepContext, step
+from .stepper import BoundExceeded, NumericalBlowup, StepContext, phi_keys, step
 
 __all__ = ["main"]
 
@@ -35,6 +35,9 @@ MAX_STEPS = 10**7
 # this admits order 8 (126 grids, 1008 MiB) and refuses orders 9 and 10
 # (173 and 240 grids); at 512^2 it admits every order
 MAX_PHI_CACHE_BYTES = 2**30
+# cells a grid may have: the plan and each field of a step hold 8 nx ny
+# bytes or less apiece, 128 MiB at this limit (4096^2)
+MAX_CELLS = 2**24
 
 
 def _parse_bool(s: str) -> bool:
@@ -103,9 +106,23 @@ def _split_steps(t_end: float, tau: float) -> tuple[int, float]:
     return m, rem
 
 
-def _setup(cfg):
-    """(potential, plan, u0) of a resolved config."""
+def _setup(cfg, runs):
+    """(potential, plan, u0) of a resolved config.
+
+    runs is the (spec, tau) of each step context the command makes; an
+    over-budget grid or phi cache is a ConfigError before anything of the
+    grid's size is allocated.
+    """
     mesh = build_mesh(cfg)
+    if mesh.ncells > MAX_CELLS:
+        raise ConfigError(f"a {mesh.nx}x{mesh.ny} grid has more than the {MAX_CELLS} cells a run may have")
+    for spec, tau in runs:
+        cache = len(phi_keys(spec, tau)) * 8 * mesh.ncells
+        if cache > MAX_PHI_CACHE_BYTES:
+            raise ConfigError(
+                f"order {spec.order} on a {mesh.nx}x{mesh.ny} grid caches {cache / 2**20:.0f} MiB "
+                f"of phi grids, above the {MAX_PHI_CACHE_BYTES / 2**20:.0f} MiB budget"
+            )
     potential = build_potential(cfg)
     plan = build_plan(cfg, mesh, potential)
     return potential, plan, initial_field(cfg, mesh, potential)
@@ -125,12 +142,6 @@ def _states(plan, potential, spec, rescaled, tau, t_end, u0):
         )
     m, rem = _split_steps(t_end, tau)
     ctx = StepContext(plan, potential, spec, tau, rescaled=rescaled)
-    cache = len(ctx.phi_keys()) * 8 * plan.mesh.ncells
-    if cache > MAX_PHI_CACHE_BYTES:
-        raise ConfigError(
-            f"order {spec.order} on a {plan.mesh.nx}x{plan.mesh.ny} grid caches {cache / 2**20:.0f} MiB "
-            f"of phi grids, above the {MAX_PHI_CACHE_BYTES / 2**20:.0f} MiB budget"
-        )
     yield ctx, 0, 0.0, u0, 1.0
     u = u0
     for i in range(1, m + 1 + bool(rem)):
@@ -174,9 +185,9 @@ def _outdir(cfg) -> str:
 
 
 def cmd_run(cfg, args) -> int:
-    potential, plan, u0 = _setup(cfg)
-    out = _outdir(cfg)
     spec = make_scheme(int(cfg["order"]), cfg["nodes"])
+    potential, plan, u0 = _setup(cfg, [(spec, cfg["tau"])])
+    out = _outdir(cfg)
     u, report, err = _integrate(plan, potential, spec, cfg["rescaled"], cfg["tau"], cfg["t_end"], u0)
     write_csv(report, os.path.join(out, "diagnostics.csv"))
     write_field_csv(u, os.path.join(out, "field_final.csv"))
@@ -236,14 +247,14 @@ def cmd_converge(cfg, args) -> int:
     order = int(cfg["order"])
     ref_order, divider = _parse_ref(args.ref, order)
     tau_ref = min(taus) if divider is None else min(taus) / divider
-    potential, plan, u0 = _setup(cfg)
+    ref_spec, spec = make_scheme(ref_order, cfg["nodes"]), make_scheme(order, cfg["nodes"])
+    potential, plan, u0 = _setup(cfg, [(ref_spec, tau_ref)] + [(spec, tau) for tau in taus])
     out = _outdir(cfg)
 
-    u_ref = _final(plan, potential, make_scheme(ref_order, cfg["nodes"]), cfg["rescaled"], tau_ref, t_end, u0)
+    u_ref = _final(plan, potential, ref_spec, cfg["rescaled"], tau_ref, t_end, u0)
     ref_linf = max_norm(u_ref)
     ref_l2 = l2_norm(u_ref)
 
-    spec = make_scheme(order, cfg["nodes"])
     rows = []
     prev_errs = None
     for tau in taus:
@@ -281,14 +292,15 @@ def cmd_mbp_test(cfg, args) -> int:
     if cfg["init"].get("kind") != "random":
         cfg = dict(cfg)
         cfg["init"] = {"kind": "random", "seed": 42, "amplitude": 1.0}
-    potential, plan, u0 = _setup(cfg)
+    specs = [make_scheme(order, cfg["nodes"]) for order in (3, 5, 7)]
+    potential, plan, u0 = _setup(cfg, [(spec, 1.0) for spec in specs])
     out = _outdir(cfg)
     steps = 100
     rc = 0
     for rescaled in (False, True):
         variant = "rescaled" if rescaled else "standard"
-        for order in (3, 5, 7):
-            spec = make_scheme(order, cfg["nodes"])
+        for spec in specs:
+            order = spec.order
             u, report, err = _integrate(plan, potential, spec, rescaled, 1.0, float(steps), u0)
             path = os.path.join(out, f"mbp_{variant}_r{order}.csv")
             write_csv(report, path)
@@ -308,14 +320,16 @@ def cmd_mbp_test(cfg, args) -> int:
 def cmd_energy_test(cfg, args) -> int:
     cfg = dict(cfg)
     cfg["init"] = {"kind": "sinprod", "amplitude": 0.5}
-    potential, plan, u0 = _setup(cfg)
+    specs = [make_scheme(order, cfg["nodes"]) for order in (3, 4, 5, 6)]
+    taus = (0.2, 0.1, 0.01)
+    potential, plan, u0 = _setup(cfg, [(spec, tau) for spec in specs for tau in taus])
     out = _outdir(cfg)
     t_end = cfg["t_end"]
     total_violations = 0
-    for order in (3, 4, 5, 6):
+    for spec in specs:
+        order = spec.order
         bound = tau_max(order, plan.kappa, cfg["nodes"], rescaled=True)
-        spec = make_scheme(order, cfg["nodes"])
-        for tau in (0.2, 0.1, 0.01):
+        for tau in taus:
             u, report, err = _integrate(plan, potential, spec, True, tau, t_end, u0)
             if err is not None:
                 raise err

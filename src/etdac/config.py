@@ -188,7 +188,11 @@ def effective_kappa(cfg: dict, potential) -> float:
 
 
 def build_plan(cfg: dict, mesh: Mesh2D, potential) -> SpectralPlan:
-    return SpectralPlan(mesh, cfg["eps"], effective_kappa(cfg, potential))
+    kappa = effective_kappa(cfg, potential)
+    try:
+        return SpectralPlan(mesh, cfg["eps"], kappa)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def initial_field(cfg: dict, mesh: Mesh2D, potential) -> Field:

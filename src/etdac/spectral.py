@@ -11,6 +11,8 @@ inline; apply_phi is the one-shot reference form of the same operation.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.fft
 
@@ -32,15 +34,17 @@ class SpectralPlan:
     """
 
     def __init__(self, mesh: Mesh2D, eps: float, kappa: float):
-        if eps <= 0:
-            raise ValueError("eps must be positive")
-        if kappa <= 0:
-            raise ValueError("kappa must be positive")
+        if not (0.0 < eps < math.inf and 0.0 < kappa < math.inf):
+            raise ValueError("eps and kappa must be finite and positive")
         self.mesh = mesh
         self.eps = float(eps)
         self.kappa = float(kappa)
         mux = -(4.0 / mesh.hx**2) * np.sin(np.arange(mesh.nx) * np.pi / (2 * mesh.nx)) ** 2
         muy = -(4.0 / mesh.hy**2) * np.sin(np.arange(mesh.ny) * np.pi / (2 * mesh.ny)) ** 2
+        # the last cell's eigenvalue is the largest in magnitude, so this is
+        # the whole spectrum's check, made before the grid is allocated
+        if not math.isfinite(eps * eps * (mux[-1] + muy[-1]) - kappa):
+            raise ValueError(f"eps={eps:g} gives a spectrum that is not finite on this mesh")
         eigvals = eps * eps * (mux[None, :] + muy[:, None]) - kappa
         self.values, index = np.unique(eigvals, return_inverse=True)
         self.index = index.reshape(eigvals.shape).astype(np.int32)

@@ -44,9 +44,12 @@ __all__ = [
     "evaluate_stage",
     "rescale_factor",
     "polynomial_abs_max",
+    "phi_keys",
 ]
 
 _REAL_ROOT_TOL = 1e-10
+# the flat test of rescale_factor, and 64 ulp over the l1 sum's rounding
+_FLAT_TOL, _HEADROOM = 1e-12, 1.0 + 64.0 * np.finfo(float).eps
 _CELLS, _NEWTON_STEPS, _BLOCK = 8, 8, 2048  # the search for derivative roots of degree >= 3
 # phi's 1e-13 contract and the Vandermonde residual tests cover j <= 10
 MAX_ORDER = 10
@@ -81,8 +84,8 @@ class StepContext:
     """
 
     def __init__(self, plan: SpectralPlan, potential, spec: SchemeSpec, tau: float, rescaled: bool = False):
-        if tau <= 0:
-            raise ValueError("tau must be positive")
+        if not 0.0 < tau < math.inf:
+            raise ValueError("tau must be finite and positive")
         if plan.kappa < potential.kappa_min - 1e-12:
             raise ValueError(
                 f"stabilizer kappa={plan.kappa} is below the potential's minimum {potential.kappa_min}"
@@ -115,22 +118,25 @@ class StepContext:
             grid = self._phi_grids[key] = table[self.plan.index]
         return grid
 
-    def phi_keys(self) -> set[tuple[int, float]]:
-        """The (j, s) keys a step asks phi_grid for: one cached grid each.
-
-        A level-j stage at s reads phi_0..phi_j, and the final stage at
-        s = tau reads phi_0..phi_r; s is computed as step computes it.
-        """
-        keys = {(j, self.tau) for j in range(self.spec.order + 1)}
-        for level, system in zip(self.spec.levels, self.spec.systems):
-            for k in range(1, level + 1):
-                s = float(system.nodes[k] * self.tau)
-                keys.update((j, s) for j in range(level + 1))
-        return keys
-
     def nonlinearity(self, values: np.ndarray) -> np.ndarray:
         """N(u) = f(u) + kappa u on raw values."""
         return self.potential.f(values) + self.plan.kappa * values
+
+
+def phi_keys(spec: SchemeSpec, tau: float) -> set[tuple[int, float]]:
+    """The (j, s) keys a step of spec at tau asks phi_grid for: one cached
+    grid each, known before any plan or field exists.
+
+    A level-j stage at s reads phi_0..phi_j, and the final stage at
+    s = tau reads phi_0..phi_r; s is computed as step computes it.
+    """
+    tau = float(tau)
+    keys = {(j, tau) for j in range(spec.order + 1)}
+    for level, system in zip(spec.levels, spec.systems):
+        for k in range(1, level + 1):
+            s = float(system.nodes[k] * tau)
+            keys.update((j, s) for j in range(level + 1))
+    return keys
 
 
 class StageState:
@@ -241,20 +247,28 @@ def rescale_factor(mesh: Mesh2D, poly: np.ndarray, kappa_beta: float) -> Field:
     interval.  Two certificates precede the exact maximization: the
     coefficient l1 bound, then the Bernstein coefficient bound (a polynomial
     on [0, 1] stays inside the convex hull of its Bernstein coefficients).
-    Both only ever certify a = 1; the exact maximum decides every other
+    Both only ever certify a = 1.  A flat point of degree >= 1, with
+    sum_{m>=1} |c_m| <= _FLAT_TOL |c_0|, then takes its l1 sum as max |P|:
+    an upper bound within _FLAT_TOL, so a is up to _FLAT_TOL smaller,
+    relatively, than from the exact maximum, which decides every other
     point, its critical points from Bernstein isolation and Newton, and from
     companion eigenvalues where that is inconclusive (polynomial_abs_max).
     """
-    if kappa_beta <= 0:
-        raise ValueError("kappa_beta must be positive")
+    if not 0.0 < kappa_beta < math.inf:
+        raise ValueError("kappa_beta must be finite and positive")
     alpha = np.ones(mesh.ncells)
-    l1 = np.sum(np.abs(poly), axis=0)
+    # row by row, so each column's sum is the same in any batch and layout
+    l1 = functools.reduce(np.add, np.abs(poly))
     if not np.all(np.isfinite(l1)):
         raise ValueError("polynomial coefficients must be finite")
     suspicious = np.nonzero(l1 > kappa_beta)[0]
     if suspicious.size and poly.shape[0] > 1:
         bern = np.abs(_bernstein_matrix(poly.shape[0] - 1) @ poly[:, suspicious])
         suspicious = suspicious[bern.max(axis=0) > kappa_beta]
+        c0, top = np.abs(poly[0, suspicious]), l1[suspicious]
+        flat = top - c0 <= _FLAT_TOL * c0
+        alpha[suspicious[flat]] = np.minimum(kappa_beta / (top[flat] * _HEADROOM), 1.0)
+        suspicious = suspicious[~flat]
     if suspicious.size:
         m, _ = _poly_abs_max_many(poly[:, suspicious])
         alpha[suspicious] = np.minimum(kappa_beta / np.maximum(m, 1e-300), 1.0)

@@ -158,6 +158,8 @@ class TestExitCodes:
         ["energy-test", "--grid", "8", "--t-end", "1e300"],
         # 173 phi grids of 8 MiB, past cli.MAX_PHI_CACHE_BYTES
         ["run", "--grid", "1024", "--order", "9", "--t-end", "0.1"],
+        # eps^2 overflows, so the spectrum is not finite
+        ["run", "--grid", "8", "--eps", "1e300"],
     ])
     def test_config_errors_exit_2(self, tmp_path, argv, capsys):
         if isinstance(argv[-1], dict):
@@ -165,6 +167,26 @@ class TestExitCodes:
             cfgfile = tmp_path / "c.json"
             cfgfile.write_text(json.dumps(argv[-1]))
             argv = argv[:-1] + ["--config", str(cfgfile)]
+        rc = main(argv + ["--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--grid", "100000"],
+        # 2 phi grids of 128 MiB fit the cache budget; 4097^2 cells do not
+        ["run", "--grid", "4097", "--order", "1"],
+        # at 2048^2 the r = 3 and 5 runs fit the cache budget, r = 7 does not
+        ["mbp-test", "--potential", "fh", "--grid", "2048"],
+        ["energy-test", "--grid", "2048"],
+        # the order-6 reference does not fit, the order-5 runs do
+        ["converge", "--grid", "2048", "--order", "5", "--ref", "order_up"],
+    ])
+    def test_oversized_runs_exit_2_before_allocating(self, tmp_path, monkeypatch, capsys, argv):
+        def refuse(*args):
+            raise AssertionError("allocated a grid-sized array")
+
+        monkeypatch.setattr(cli, "build_plan", refuse)
+        monkeypatch.setattr(cli, "initial_field", refuse)
         rc = main(argv + ["--out", str(tmp_path / "o")])
         assert rc == 2
         assert "config error" in capsys.readouterr().err
@@ -271,7 +293,7 @@ class TestRunLoop:
     def setup_method(self):
         cfg = default_config()
         cfg.update(nx=16, ny=16, potential={"kind": "fh"}, init={"kind": "random", "seed": 4, "amplitude": 0.9})
-        self.potential, self.plan, self.u0 = cli._setup(cfg)
+        self.potential, self.plan, self.u0 = cli._setup(cfg, [])
 
     def test_record_runs_once_per_state_and_never_in_converge(self, tmp_path, monkeypatch):
         calls = []

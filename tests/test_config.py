@@ -218,7 +218,7 @@ class TestBuilders:
             return step(ctx, u, **kw)
 
         monkeypatch.setattr(cli, "step", spy)
-        potential, plan2, u0 = cli._setup(cfg)
+        potential, plan2, u0 = cli._setup(cfg, [])
         assert plan2.kappa == plan.kappa and np.array_equal(plan2.eigvals, plan.eigvals)
         assert np.array_equal(u0.values, initial_field(cfg, mesh, pot).values)
         for order, tau, rescaled in ((3, 0.05, False), (5, 0.01, True)):

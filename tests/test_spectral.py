@@ -64,6 +64,13 @@ class TestSpectralPlan:
         with pytest.raises(ValueError):
             SpectralPlan(mesh8, 0.1, 0.0)
 
+    @pytest.mark.parametrize("eps, kappa", [(np.nan, 2.0), (np.inf, 2.0), (0.1, np.nan), (0.1, np.inf),
+                                            (1e300, 2.0), (1e155, 2.0)])
+    def test_rejects_non_finite_parameters_and_spectra(self, mesh8, eps, kappa):
+        # 1e300 squares to inf, and 1e155 overflows once scaled by 1/h^2
+        with pytest.raises(ValueError, match="finite"):
+            SpectralPlan(mesh8, eps, kappa)
+
 
 class TestTransforms:
     def test_matches_dense_cosine_matrix(self):

@@ -17,6 +17,7 @@ from etdac.stepper import (
     StageState,
     StepContext,
     evaluate_stage,
+    phi_keys,
     polynomial_abs_max,
     rescale_factor,
     step,
@@ -158,6 +159,31 @@ EXACT_CASES = {
 }
 
 
+def _flat_columns(rng, frac):
+    """(10, 108) flat columns of degree 1..9, zero-padded: c_0 of either sign
+    at, above or below kb = 1.3, and a tail sum_{m>=1} |c_m| of exactly
+    frac * _FLAT_TOL |c_0| before rounding, its signs all those of c_0
+    (max |P| is then the l1 sum, the bound's tightest case), alternating,
+    or random."""
+    cols = []
+    for degree in range(1, 10):
+        for c0 in (2.5, -1.7, 1.3, -1.3 * (1 - 1e-13)):
+            for signs in ("same", "alternating", "random"):
+                w = rng.uniform(0.1, 1.0, degree)
+                sign = {"same": np.sign(c0) * np.ones(degree),
+                        "alternating": (-1.0) ** np.arange(1, degree + 1),
+                        "random": rng.choice([-1.0, 1.0], degree)}[signs]
+                col = np.zeros(10)
+                col[0] = c0
+                col[1 : degree + 1] = sign * w / w.sum() * frac * stepper._FLAT_TOL * abs(c0)
+                cols.append(col)
+    return np.array(cols).T
+
+
+def _exact_alpha(col, kb):
+    return min(kb / polynomial_abs_max(col)[0], 1.0)
+
+
 class TestExactMaximum:
     @pytest.mark.parametrize("name", sorted(EXACT_CASES))
     def test_adversarial_case_matches_oracle(self, name):
@@ -249,6 +275,79 @@ class TestRescaleFactor:
         with pytest.raises(ValueError):
             rescale(Field(self.mesh, np.full(self.mesh.ncells, 1.0)), [], 0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_bound_must_be_finite_and_positive(self, bad):
+        # a NaN bound used to give a = 1 everywhere, so nothing shrank
+        poly = np.full((3, self.mesh.ncells), 5.0)
+        with pytest.raises(ValueError, match="finite and positive"):
+            rescale_factor(self.mesh, poly, bad)
+
+    @pytest.mark.parametrize("frac", [1e-3, 0.5, 1.0])
+    def test_flat_factor_is_within_flat_tol_of_the_exact_one(self, monkeypatch, frac):
+        poly, kb = _flat_columns(np.random.default_rng(21), frac), 1.3
+        reached = []
+        real = stepper._poly_abs_max_many
+        monkeypatch.setattr(stepper, "_poly_abs_max_many", lambda c: reached.append(c.shape[1]) or real(c))
+        alpha = rescale_factor(Mesh2D(1.0, 1.0, 54, 2), poly, kb).values
+        if frac < 1.0:
+            # below the tolerance every point is settled by the l1 sum
+            assert reached == []
+        tol = stepper._FLAT_TOL
+        for p in range(poly.shape[1]):
+            exact = _exact_alpha(poly[:, p], kb)
+            assert alpha[p] <= exact <= alpha[p] * (1.0 + 2.0 * tol)
+
+    @pytest.mark.parametrize("frac", [1e-3, 0.5])
+    def test_flat_factor_keeps_the_bound_against_the_oracle(self, frac):
+        # every point is flat here, so each a comes from its l1 sum
+        poly, kb = _flat_columns(np.random.default_rng(22), frac), 1.3
+        alpha = rescale_factor(Mesh2D(1.0, 1.0, 54, 2), poly, kb).values
+        for p in range(0, poly.shape[1], 2):
+            assert exact_poly_max(alpha[p] * poly[:, p]) <= kb
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_saturated_flat_point_shrinks_by_at_most_flat_tol(self, monkeypatch, sign):
+        # P = kb - d (s - 1/2)^2: max |P| = kb at s = 1/2, yet the l1 sum
+        # (and the middle Bernstein coefficient) lies above kb
+        kb, tol = 1.3, stepper._FLAT_TOL
+        d = 0.4 * tol * kb
+        col = sign * np.array([kb - d / 4, d, -d])
+        reached = []
+        real = stepper._poly_abs_max_many
+        monkeypatch.setattr(stepper, "_poly_abs_max_many", lambda c: reached.append(c.shape[1]) or real(c))
+        alpha = rescale_factor(self.mesh, np.repeat(col[:, None], self.mesh.ncells, axis=1), kb).values
+        assert reached == []
+        assert np.sum(np.abs(col)) > kb
+        exact = _exact_alpha(col, kb)
+        assert exact > 1.0 - 1e-15
+        assert np.all(alpha < 1.0)
+        assert np.all(alpha >= exact * (1.0 - tol))
+        assert exact_poly_max(alpha[0] * col) <= kb
+
+    def test_mixed_flat_and_exact_columns_are_independent_of_the_batch(self):
+        rng = np.random.default_rng(23)
+        kb = 1.3
+        flat = _flat_columns(rng, 0.5)
+        rough = rng.uniform(-2.0, 2.0, (10, 108))
+        poly = np.concatenate([flat, rough], axis=1)[:, rng.permutation(216)]
+        mesh = Mesh2D(1.0, 1.0, 108, 2)
+        alpha = rescale_factor(mesh, poly, kb).values
+        half = Mesh2D(1.0, 1.0, 54, 2)
+        perm = rng.permutation(216)
+        split = np.concatenate([rescale_factor(half, poly[:, perm[:108]], kb).values,
+                                rescale_factor(half, poly[:, perm[108:]], kb).values])
+        assert np.array_equal(split, alpha[perm])
+        quad = Mesh2D(1.0, 1.0, 2, 2)
+        for p in range(216):
+            alone = rescale_factor(quad, np.repeat(poly[:, p : p + 1], 4, axis=1), kb).values
+            assert np.all(alone == alpha[p])
+
+    def test_degree_zero_takes_the_exact_maximum(self):
+        # a constant's maximum is |c_0| itself, with no headroom
+        c0 = np.random.default_rng(24).uniform(-5.0, 5.0, self.mesh.ncells)
+        alpha = rescale_factor(self.mesh, c0[None, :], 1.3).values
+        assert np.array_equal(alpha, np.minimum(1.3 / np.abs(c0), 1.0))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_coefficient_rejected(self, bad):
         # an l1 sum of NaN never exceeds the bound, which used to give a = 1
@@ -289,6 +388,13 @@ class TestStepContext:
         with pytest.raises(ValueError):
             StepContext(plan, gl, spec, 0.0)
 
+    @pytest.mark.parametrize("tau", [np.nan, np.inf])
+    def test_rejects_non_finite_tau(self, mesh8, gl, tau):
+        # a NaN tau used to pass and blow up at step 1
+        plan = SpectralPlan(mesh8, 0.1, 2.0)
+        with pytest.raises(ValueError, match="finite and positive"):
+            StepContext(plan, gl, make_scheme(2), tau)
+
     def test_rejects_understabilized_plan(self, mesh8, gl):
         plan = SpectralPlan(mesh8, 0.1, 1.0)
         spec = make_scheme(2)
@@ -316,7 +422,7 @@ class TestStepContext:
         tau = 0.1
         for mesh in (mesh8, Mesh2D(2 * np.pi, np.pi, 12, 8)):
             ctx = make_ctx(mesh, gl, 5, tau)
-            for j, s in ctx.phi_keys() | {(j, 0.05) for j in range(5)}:
+            for j, s in phi_keys(ctx.spec, tau) | {(j, 0.05) for j in range(5)}:
                 c = 1.0 if j == 0 else s if j == 1 else tau * math.factorial(j - 1) * (s / tau) ** j
                 assert ctx.phi_grid(j, s) is ctx.phi_grid(j, s)
                 assert np.array_equal(ctx.phi_grid(j, s), c * phi_batch(j, s * ctx.plan.eigvals))
@@ -327,7 +433,7 @@ class TestStepContext:
         # the CLI sizes the cache from phi_keys before the first step
         plan = SpectralPlan(mesh8, 0.1, 2.0)
         ctx = StepContext(plan, gl, make_scheme(order, kind), 0.3)
-        keys = ctx.phi_keys()
+        keys = phi_keys(ctx.spec, 0.3)
         step(ctx, sinprod(mesh8), n=1)
         assert keys == set(ctx._phi_grids)
         assert len(keys) == {3: 7, 5: 29, 7: 77}.get(order, len(keys))
