@@ -35,8 +35,10 @@ MAX_STEPS = 10**7
 # this admits order 8 (126 grids, 1008 MiB) and refuses orders 9 and 10
 # (173 and 240 grids); at 512^2 it admits every order
 MAX_PHI_CACHE_BYTES = 2**30
-# cells a grid may have: the plan and each field of a step hold 8 nx ny
-# bytes or less apiece, 128 MiB at this limit (4096^2)
+# cells a grid may have, 4096^2, where one field takes 128 MiB.  A step
+# context holds the plan (12 nx ny bytes or less), its phi grids (one
+# field each, capped above) and, from its first step on, a workspace of
+# 3r + 3 fields; each step returns one more field
 MAX_CELLS = 2**24
 
 

@@ -24,9 +24,12 @@ class GinzburgLandau:
         self.beta = compute_beta(self)
         self.kappa_min = compute_kappa_min(self)
 
-    def f(self, u):
-        u = np.asarray(u, dtype=np.float64)
-        return u - u * u * u
+    def f(self, u, out=None):
+        """u - u^3, into out (not u itself) when given."""
+        u, res = _operands(u, out)
+        np.multiply(u, u, out=res)
+        res *= u
+        return _result(np.subtract(u, res, out=res))
 
     def F(self, u):
         u = np.asarray(u, dtype=np.float64)
@@ -64,13 +67,20 @@ class FloryHuggins:
         self.kappa_min = compute_kappa_min(self)
 
     def _check_domain(self, u):
-        if np.any(np.abs(u) >= 1.0):
+        # fmax/fmin skip NaN as the |u| >= 1 test does, and allocate nothing
+        if u.size and (np.fmax.reduce(u, axis=None) >= 1.0 or np.fmin.reduce(u, axis=None) <= -1.0):
             raise ValueError("Flory-Huggins potential evaluated outside (-1, 1)")
 
-    def f(self, u):
-        u = np.asarray(u, dtype=np.float64)
+    def f(self, u, out=None):
+        """(theta/2) ln((1-u)/(1+u)) + theta_c u, into out (not u itself) when given."""
+        u, res = _operands(u, out)
         self._check_domain(u)
-        return 0.5 * self.theta * np.log((1.0 - u) / (1.0 + u)) + self.theta_c * u
+        tmp = np.add(1.0, u, out=np.empty_like(res))
+        np.divide(np.subtract(1.0, u, out=res), tmp, out=res)
+        np.log(res, out=res)
+        res *= 0.5 * self.theta
+        res += np.multiply(self.theta_c, u, out=tmp)
+        return _result(res)
 
     def F(self, u):
         u = np.asarray(u, dtype=np.float64)
@@ -84,6 +94,17 @@ class FloryHuggins:
 
     def __repr__(self):
         return f"FloryHuggins(theta={self.theta}, theta_c={self.theta_c})"
+
+
+def _operands(u, out):
+    """u as float64 and the array f writes: out, or a new one shaped like u."""
+    u = np.asarray(u, dtype=np.float64)
+    return u, np.empty_like(u) if out is None else out
+
+
+def _result(res):
+    """res, or its one value when 0-d, as numpy's operators give a scalar."""
+    return res[()] if res.ndim == 0 else res
 
 
 def compute_beta(p) -> float:

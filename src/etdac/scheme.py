@@ -87,7 +87,7 @@ class Vandermonde:
             raise ValueError("Vandermonde matrix is singular to working precision")
         self._inv = scipy.linalg.lu_solve((lu, piv), np.eye(self.r))
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
+    def solve(self, rhs: np.ndarray, out: np.ndarray = None, scratch=None) -> np.ndarray:
         """Solve V c = rhs; rhs may stack many systems along axis 1.
 
         One sweep of fixed-precision iterative refinement follows.  On
@@ -98,10 +98,18 @@ class Vandermonde:
         right-hand sides at r = 9, where cond(V) is 1.3e7, the relative
         residual is 4.9e-10 bare, 3.0e-10 after one sweep and 2.9e-10
         after two.
+
+        The solution goes to out, which may be rhs itself; scratch, a pair
+        of arrays shaped like rhs that overlap neither, holds the first
+        solution and the residual, so that a solve with both allocates
+        nothing.
         """
-        c = self._inv @ rhs
-        c += self._inv @ (rhs - self.matrix @ c)
-        return c
+        c, res = (np.empty(np.shape(rhs)), np.empty(np.shape(rhs))) if scratch is None else scratch
+        np.matmul(self._inv, rhs, out=c)
+        np.subtract(rhs, np.matmul(self.matrix, c, out=res), out=res)
+        out = np.matmul(self._inv, res, out=out)
+        out += c
+        return out
 
 
 def sigma_min(m) -> float:

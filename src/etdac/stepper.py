@@ -23,6 +23,7 @@ modes produce bit-identical steps whenever the computed a is one everywhere.
 from __future__ import annotations
 
 import functools
+import inspect
 import itertools
 import math
 
@@ -80,7 +81,9 @@ class StepContext:
 
     The stage times a_{j,k} tau are step-invariant, so each grid
     phi_j(s lambda), times its stage-formula scalar, is computed once per
-    (j, s) and reused across steps.
+    (j, s) and reused across steps.  The first step also allocates the
+    context's workspace, every field-sized array a step writes, so a
+    context serves one step at a time.
     """
 
     def __init__(self, plan: SpectralPlan, potential, spec: SchemeSpec, tau: float, rescaled: bool = False):
@@ -99,6 +102,8 @@ class StepContext:
         self.rescaled = bool(rescaled)
         self.kappa_beta = plan.kappa * potential.beta
         self._phi_grids: dict[tuple[int, float], np.ndarray] = {}
+        self._f_takes_out = "out" in inspect.signature(potential.f).parameters
+        self._workspace = None
 
     def phi_grid(self, j: int, s: float) -> np.ndarray:
         """c * phi_j(s * eigvals) as a (ny, nx) array, memoized on (j, s).
@@ -118,9 +123,47 @@ class StepContext:
             grid = self._phi_grids[key] = table[self.plan.index]
         return grid
 
-    def nonlinearity(self, values: np.ndarray) -> np.ndarray:
-        """N(u) = f(u) + kappa u on raw values."""
-        return self.potential.f(values) + self.plan.kappa * values
+    @property
+    def workspace(self) -> "Workspace":
+        """The arrays a step computes in, allocated on first use."""
+        if self._workspace is None:
+            self._workspace = Workspace(self.plan.mesh, self.spec.order)
+        return self._workspace
+
+    def nonlinearity(self, values: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+        """N(u) = f(u) + kappa u on raw values.
+
+        Given out, a field that is not values, N goes there and kappa u
+        through the workspace's tmp, so neither may be tmp.  A potential
+        whose f takes no out computes f(u) apart and it is copied in.
+        """
+        if out is None:
+            return self.potential.f(values) + self.plan.kappa * values
+        if self._f_takes_out:
+            self.potential.f(values, out=out)
+        else:
+            out[...] = self.potential.f(values)
+        out += np.multiply(self.plan.kappa, values, out=self.workspace.tmp.reshape(out.shape))
+        return out
+
+
+class Workspace:
+    """The field-sized arrays of a step, 3r + 3 fields at order r.
+
+    u_hat and n0_hat are the spectra of u_n and N(u_n); acc sums a stage's
+    spectra and tmp holds each product.  poly[:j+1] is level j's
+    polynomial, row 0 N(u_n) at every level, and hats[:j+1] its spectra.
+    The solve of level j takes hats[1:j+1], dead once the level's stages
+    are summed, and scratch[:j] as its two scratch arrays.  Every array is
+    written in each step before it is read, so a step that raised leaves
+    nothing the next one sees.
+    """
+
+    def __init__(self, mesh: Mesh2D, order: int):
+        self.u_hat, self.n0_hat, self.acc, self.tmp = np.empty((4, mesh.ny, mesh.nx))
+        self.poly = np.empty((order, mesh.ncells))
+        self.hats = np.empty((order, mesh.ny, mesh.nx))
+        self.scratch = np.empty((order - 1, mesh.ncells))
 
 
 def phi_keys(spec: SchemeSpec, tau: float) -> set[tuple[int, float]]:
@@ -149,35 +192,44 @@ class StageState:
     hats[m] is the transform of alpha*poly[m], so the state's level is
     len(hats) - 1.  Where alpha_min is one, 1.0 * poly is poly, so the
     rows go unscaled, and hat0, when given, is called for row 0's
-    transform, which the caller already has.
+    transform, which the caller already has.  The spectra are computed in
+    out, a (level+1, ny, nx) array, or in a new one.
     """
 
-    def __init__(self, mesh: Mesh2D, poly: np.ndarray, alpha: Field = None, hat0=None):
+    def __init__(self, mesh: Mesh2D, poly: np.ndarray, alpha: Field = None, hat0=None, out=None):
         self.alpha_min = 1.0 if alpha is None else float(alpha.values.min())
-        rows = poly
+        rows = np.empty((len(poly), mesh.ny, mesh.nx)) if out is None else out
+        flat = rows.reshape(len(poly), mesh.ncells)
         if self.alpha_min != 1.0:
-            rows, hat0 = alpha.values * poly, None
-        hat0 = _dct(mesh, rows[0]) if hat0 is None else hat0()
-        self.hats = [hat0] + [_dct(mesh, row) for row in rows[1:]]
+            np.multiply(alpha.values, poly, out=flat)
+            hat0 = None
+        else:
+            first = 0 if hat0 is None else 1
+            flat[first:] = poly[first:]
+        self.hats = [_dct(rows[0]) if hat0 is None else hat0()] + [_dct(row) for row in rows[1:]]
 
 
-def _dct(mesh: Mesh2D, values: np.ndarray) -> np.ndarray:
-    return scipy.fft.dctn(values.reshape(mesh.ny, mesh.nx), type=2, norm="ortho")
+def _dct(grid: np.ndarray) -> np.ndarray:
+    """The DCT of a (ny, nx) array, computed in it."""
+    return scipy.fft.dctn(grid, type=2, norm="ortho", overwrite_x=True)
 
 
 def _make_state(ctx: StepContext, poly: np.ndarray, n0_hat) -> StageState:
-    """The level's state.  Where alpha is one at every point, row 0 is
-    N(u_n), whose transform is the step's one, n0_hat()."""
+    """The level's state, its spectra in the workspace.  Where alpha is one
+    at every point, row 0 is N(u_n), whose transform is the step's one,
+    n0_hat()."""
     mesh = ctx.plan.mesh
     alpha = rescale_factor(mesh, poly, ctx.kappa_beta) if ctx.rescaled else None
-    return StageState(mesh, poly, alpha, hat0=n0_hat)
+    return StageState(mesh, poly, alpha, hat0=n0_hat, out=ctx.workspace.hats[: len(poly)])
 
 
-def _stage_values(ctx: StepContext, s: float, u_hat: np.ndarray, state: StageState) -> np.ndarray:
-    """w_level(s) as flat values, level = len(state.hats), from the state's spectra."""
-    acc = ctx.phi_grid(0, s) * u_hat
+def _stage_values(ctx: StepContext, s: float, u_hat: np.ndarray, state: StageState,
+                  acc: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """w_level(s) as flat values, level = len(state.hats), from the state's
+    spectra: summed in acc with each product in tmp, then transformed in acc."""
+    np.multiply(ctx.phi_grid(0, s), u_hat, out=acc)
     for m, hat in enumerate(state.hats):
-        acc += ctx.phi_grid(m + 1, s) * hat
+        acc += np.multiply(ctx.phi_grid(m + 1, s), hat, out=tmp)
     vals = scipy.fft.idctn(acc, type=2, norm="ortho", overwrite_x=True)
     return vals.reshape(ctx.plan.mesh.ncells)
 
@@ -188,7 +240,17 @@ def evaluate_stage(ctx: StepContext, s: float, u_n: Field, state: StageState) ->
         raise ValueError(f"stage time s={s} outside (0, tau]")
     if u_n.mesh != ctx.plan.mesh:
         raise ValueError("field mesh does not match the plan's mesh")
-    return Field(u_n.mesh, _stage_values(ctx, s, _dct(u_n.mesh, u_n.values), state))
+    acc, tmp = np.empty((2, u_n.mesh.ny, u_n.mesh.nx))
+    return Field(u_n.mesh, _stage_values(ctx, s, _dct(u_n.grid().copy()), state, acc, tmp))
+
+
+def _all_finite(values: np.ndarray) -> bool:
+    """np.all(np.isfinite(values)), whose boolean temporary is made only
+    when the sum is not finite: a NaN or infinity makes it so, and so may
+    an overflow of finite values, which is why the sum warns of neither."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = values.sum()
+    return math.isfinite(total) or bool(np.all(np.isfinite(values)))
 
 
 def step(ctx: StepContext, u_n: Field, *, n: int = 1) -> tuple[Field, float]:
@@ -196,46 +258,54 @@ def step(ctx: StepContext, u_n: Field, *, n: int = 1) -> tuple[Field, float]:
 
     alpha_min is the smallest rescale factor at any cascade level, 1.0 when
     nothing shrank.  n is the step's index, which labels a BoundExceeded or
-    NumericalBlowup raised here.
+    NumericalBlowup raised here.  Every array but u_next is the context's
+    workspace, which u_next does not share.
     """
     mesh = u_n.mesh
     if mesh != ctx.plan.mesh:
         raise ValueError("field mesh does not match the plan's mesh")
-    if not np.all(np.isfinite(u_n.values)):
+    if not _all_finite(u_n.values):
         raise ValueError("u_n must be finite")
     if ctx.rescaled and max_norm(u_n) > ctx.potential.beta + MBP_TOL:
         raise ValueError("rescaled stepping requires max_norm(u_n) <= beta")
 
+    ws = ctx.workspace
+    n0 = ws.poly[0]
     try:
-        n0 = ctx.nonlinearity(u_n.values)
+        ctx.nonlinearity(u_n.values, out=n0)
     except ValueError as exc:
         raise BoundExceeded(0, 0, n) from exc
 
-    n0_hat = functools.cache(lambda: _dct(mesh, n0))
-    state = _make_state(ctx, n0[None, :], n0_hat)
+    def n0_hat():
+        ws.n0_hat.reshape(mesh.ncells)[...] = n0
+        return _dct(ws.n0_hat)
+
+    n0_hat = functools.cache(n0_hat)
+    state = _make_state(ctx, ws.poly[:1], n0_hat)
     alpha_min = state.alpha_min
-    u_hat = _dct(mesh, u_n.values)
+    ws.u_hat.reshape(mesh.ncells)[...] = u_n.values
+    u_hat = _dct(ws.u_hat)
 
     for j in ctx.spec.levels:
         system = ctx.spec.systems[j - 1]
-        poly = np.empty((j + 1, mesh.ncells))
-        poly[0] = n0
+        poly = ws.poly[: j + 1]
         for k in range(1, j + 1):
-            w = _stage_values(ctx, system.nodes[k] * ctx.tau, u_hat, state)
-            if not np.all(np.isfinite(w)):
+            w = _stage_values(ctx, system.nodes[k] * ctx.tau, u_hat, state, ws.acc, ws.tmp)
+            if not _all_finite(w):
                 raise NumericalBlowup(j, k, n)
             try:
-                poly[k] = ctx.nonlinearity(w)
+                ctx.nonlinearity(w, out=poly[k])
             except ValueError as exc:
                 raise BoundExceeded(j, k, n) from exc
             poly[k] -= n0
-        poly[1:] = system.solve(poly[1:])
+        scratch = (ws.hats[1 : j + 1].reshape(j, mesh.ncells), ws.scratch[:j])
+        system.solve(poly[1:], out=poly[1:], scratch=scratch)
         state = _make_state(ctx, poly, n0_hat)
         alpha_min = min(alpha_min, state.alpha_min)
 
     r = ctx.spec.order
-    out = _stage_values(ctx, ctx.tau, u_hat, state)
-    if not np.all(np.isfinite(out)):
+    out = _stage_values(ctx, ctx.tau, u_hat, state, np.empty((mesh.ny, mesh.nx)), ws.tmp)
+    if not _all_finite(out):
         raise NumericalBlowup(r, r, n)
     return Field(mesh, out), alpha_min
 
@@ -256,6 +326,8 @@ def rescale_factor(mesh: Mesh2D, poly: np.ndarray, kappa_beta: float) -> Field:
     """
     if not 0.0 < kappa_beta < math.inf:
         raise ValueError("kappa_beta must be finite and positive")
+    if poly.ndim != 2 or poly.shape[1] != mesh.ncells:
+        raise ValueError(f"poly must have one column per cell, {mesh.ncells}, got shape {poly.shape}")
     alpha = np.ones(mesh.ncells)
     # row by row, so each column's sum is the same in any batch and layout
     l1 = functools.reduce(np.add, np.abs(poly))

@@ -90,6 +90,23 @@ class TestFloryHuggins:
         assert p.kappa_min == pytest.approx(float(np.max(np.abs(p.f_prime(xi)))), rel=1e-6)
 
 
+@pytest.mark.parametrize("potname", ["gl", "fh"])
+def test_f_into_out_keeps_the_formula_bit_for_bit(potname, gl, fh):
+    # the stepper evaluates f into its workspace; the order of operations,
+    # and so every bit, is that of the formula in the class docstring
+    p = gl if potname == "gl" else fh
+    u = np.random.default_rng(7).uniform(-p.beta, p.beta, 4096)
+    if potname == "gl":
+        want = u - u * u * u
+    else:
+        want = 0.5 * p.theta * np.log((1.0 - u) / (1.0 + u)) + p.theta_c * u
+    out = np.full_like(u, np.nan)
+    assert p.f(u, out=out) is out
+    assert np.array_equal(out, want)
+    assert np.array_equal(p.f(u), want)
+    assert isinstance(p.f(0.25), np.float64)
+
+
 class TestStabilizedSplitting:
     @pytest.mark.parametrize("potname", ["gl", "fh"])
     def test_shifted_derivative_between_zero_and_two_kappa(self, potname, gl, fh):

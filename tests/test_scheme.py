@@ -127,6 +127,17 @@ class TestVandermonde:
         for k in range(7):
             assert np.allclose(stacked[:, k], v.solve(b[:, k].copy()), rtol=1e-12, atol=1e-14)
 
+    @pytest.mark.parametrize("r", [1, 4, 9])
+    def test_solve_in_place_matches_the_allocating_solve(self, r):
+        # the stepper solves into the right-hand side with workspace scratch
+        v = Vandermonde(make_nodes(r))
+        b = np.random.default_rng(r).standard_normal((r, 300))
+        want = v.solve(b)
+        scratch = (np.empty_like(b), np.empty_like(b))
+        got = v.solve(b, out=b, scratch=scratch)
+        assert got is b
+        assert np.array_equal(got, want)
+
     def test_polynomial_coefficients_recovered(self):
         # d_k = P(a_k) for P with zero constant term recovers P's coefficients
         ns = make_nodes(4)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -356,6 +357,13 @@ class TestRescaleFactor:
         with pytest.raises(ValueError, match="finite"):
             rescale_factor(self.mesh, poly, 2.0)
 
+    @pytest.mark.parametrize("columns", [2, 5])
+    def test_poly_needs_one_column_per_cell(self, columns):
+        # more columns than cells used to raise IndexError, fewer a silent a = 1
+        quad = Mesh2D(1.0, 1.0, 2, 2)
+        with pytest.raises(ValueError, match="one column per cell"):
+            rescale_factor(quad, np.full((2, columns), 5.0), 1.0)
+
     def test_factor_is_independent_of_the_batch(self):
         # wider than one block of the critical-point search, with a bound
         # below every certificate so that every point takes the exact max
@@ -414,6 +422,16 @@ class TestStepContext:
         assert n[0] == pytest.approx(ctx.kappa_beta, rel=1e-15)
         assert n[1] == pytest.approx(-ctx.kappa_beta, rel=1e-15)
         assert n[2] == 0.0
+
+    @pytest.mark.parametrize("potname", ["gl", "fh", "drift"])
+    def test_nonlinearity_into_out_matches(self, request, mesh8, potname):
+        # LinearDrift.f takes no out; the context copies its result in
+        pot = LinearDrift(2.0) if potname == "drift" else request.getfixturevalue(potname)
+        ctx = make_ctx(mesh8, pot, 2, 0.1)
+        u = random_field(mesh8, 3, -0.9 * pot.beta, 0.9 * pot.beta).values
+        out = np.full(mesh8.ncells, np.nan)
+        assert ctx.nonlinearity(u, out=out) is out
+        assert np.array_equal(out, ctx.nonlinearity(u))
 
     def test_phi_grids_are_memoized(self, mesh8, gl):
         # each grid is cached already multiplied by its stage-formula scalar,
@@ -758,3 +776,67 @@ def test_step_equals_cascade_where_some_levels_shrink(monkeypatch, fh, tau, seed
     assert alpha_mins[0] == 1.0 and min(alpha_mins) < 1.0
     replayed, _ = replicate_cascade(ctx, u)
     assert np.array_equal(u1.values, replayed.values)
+
+
+def traced_peak(fn):
+    """fn() and the peak bytes traced by tracemalloc while it ran, above
+    what was traced before, as numpy reports its arrays to tracemalloc."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+class TestWorkspace:
+    """A step computes in its context's workspace, reads nothing an earlier
+    step left there, and returns a field of its own."""
+
+    @pytest.mark.parametrize("order, rescaled, budget", [(3, False, 1.25), (5, True, 9.0)])
+    def test_a_warm_step_allocates_little_beyond_its_result(self, gl, order, rescaled, budget):
+        # in fields of the mesh; the returned field is one of them
+        mesh = Mesh2D(2 * np.pi, 2 * np.pi, 64, 64)
+        ctx = make_ctx(mesh, gl, order, 0.05, rescaled=rescaled)
+        u1, _ = step(ctx, sinprod(mesh, 0.5), n=1)
+        (_, alpha_min), peak = traced_peak(lambda: step(ctx, u1, n=2))
+        assert alpha_min == 1.0
+        assert peak <= budget * 8 * mesh.ncells
+
+    @pytest.mark.parametrize("rescaled", [False, True])
+    def test_results_outlive_later_steps_and_inputs_stay_unwritten(self, mesh32, gl, rescaled):
+        ctx = make_ctx(mesh32, gl, 4, 0.5, rescaled=rescaled)
+        u0 = sinprod(mesh32, 0.9)
+        kept = u0.values.copy()
+        u1, _ = step(ctx, u0, n=1)
+        assert np.array_equal(u0.values, kept)
+        n0 = Field(mesh32, ctx.nonlinearity(u1.values))
+        w = evaluate_stage(ctx, 0.25, u1, make_state(n0, [], ones_field(mesh32)))
+        before = (u1.values.copy(), w.values.copy())
+        u2, _ = step(ctx, u1, n=2)
+        assert np.array_equal(u1.values, before[0])
+        assert np.array_equal(w.values, before[1])
+        for buf in vars(ctx.workspace).values():
+            assert not np.shares_memory(u2.values, buf)
+
+    @pytest.mark.parametrize("potential, tau, bad, error", [
+        ("fh", 10.0, 1.5, BoundExceeded),
+        ("gl", 0.1, 1e200, NumericalBlowup),
+    ])
+    def test_a_failed_step_leaves_nothing_for_the_next(self, request, mesh32, potential, tau, bad, error):
+        # standard mode; the blowup raises past level 0, with inf and NaN in the workspace
+        pot = request.getfixturevalue(potential)
+        ctx = make_ctx(mesh32, pot, 4, tau)
+        u, v = (random_field(mesh32, seed, -0.9 * pot.beta, 0.9 * pot.beta) for seed in (5, 6))
+        step(ctx, u, n=1)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(error):
+            step(ctx, Field(mesh32, np.full(mesh32.ncells, bad)), n=2)
+        got, got_alpha = step(ctx, v, n=3)
+        want, want_alpha = step(make_ctx(mesh32, pot, 4, tau), v, n=3)
+        assert np.array_equal(got.values, want.values)
+        assert got_alpha == want_alpha
