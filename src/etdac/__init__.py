@@ -16,8 +16,8 @@ from .spectral import SpectralPlan, apply_phi
 from .stepper import (
     BoundExceeded,
     NumericalBlowup,
-    StageState,
     StepContext,
+    StepFailure,
     evaluate_stage,
     polynomial_abs_max,
     rescale_factor,
@@ -33,7 +33,7 @@ __all__ = [
     "FloryHuggins", "GinzburgLandau", "compute_beta", "compute_kappa_min",
     "NodeSet", "SchemeSpec", "Vandermonde", "make_nodes", "make_scheme", "sigma_min", "tau_max",
     "SpectralPlan", "apply_phi",
-    "BoundExceeded", "NumericalBlowup", "StageState", "StepContext",
+    "BoundExceeded", "NumericalBlowup", "StepContext", "StepFailure",
     "evaluate_stage", "polynomial_abs_max", "rescale_factor", "step",
     "RunReport", "StepDiagnostics", "record", "write_csv",
     "__version__",

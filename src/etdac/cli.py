@@ -25,7 +25,7 @@ from .config import (
 from .diagnostics import MBP_TOL, RunReport, record, write_csv
 from .grid import Field, l2_norm, max_norm, write_field_csv
 from .scheme import Vandermonde, make_nodes, make_scheme, sigma_min, tau_max
-from .stepper import BoundExceeded, NumericalBlowup, StepContext, phi_keys, step
+from .stepper import StepContext, StepFailure, phi_keys, step
 
 __all__ = ["main"]
 
@@ -35,10 +35,10 @@ MAX_STEPS = 10**7
 # this admits order 8 (126 grids, 1008 MiB) and refuses orders 9 and 10
 # (173 and 240 grids); at 512^2 it admits every order
 MAX_PHI_CACHE_BYTES = 2**30
-# cells a grid may have, 4096^2, where one field takes 128 MiB.  A step
-# context holds the plan (12 nx ny bytes or less), its phi grids (one
-# field each, capped above) and, from its first step on, a workspace of
-# 3r + 3 fields; each step returns one more field
+# cells a grid may have, 4096^2, where one field takes 128 MiB.  The one
+# live step context holds the plan (12 nx ny bytes or less), its phi grids
+# (one field each, capped above) and, from its first step on, a workspace
+# of 3r + 3 fields; each step returns one more field
 MAX_CELLS = 2**24
 
 
@@ -164,7 +164,8 @@ def _integrate(plan, potential, spec, rescaled, tau, t_end, u0):
         for ctx, n, t, u, alpha_min in _states(plan, potential, spec, rescaled, tau, t_end, u0):
             prev_energy = report.series[-1].energy if n else None
             report.append(record(ctx, n, u, prev_energy, alpha_min=alpha_min, t=t))
-    except (BoundExceeded, NumericalBlowup) as exc:
+            del ctx  # so that a shortened last step's context is the only one alive
+    except StepFailure as exc:
         return u, report, exc
     return u, report, None
 
@@ -374,7 +375,7 @@ def main(argv=None) -> int:
         # OSError: an output file the writers could not write inside --out
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (BoundExceeded, NumericalBlowup) as exc:
+    except StepFailure as exc:
         print(f"numerical failure at step {exc.step_index}: {exc}", file=sys.stderr)
         return 3
 

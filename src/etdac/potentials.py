@@ -108,47 +108,34 @@ def _result(res):
 
 
 def compute_beta(p) -> float:
-    """Positive root of f; the invariant region is [-beta, beta].
+    """Positive root of p.f; the invariant region is [-beta, beta].
 
     The quartic well has the exact root 1.  For the logarithmic well the
     root in (0, 1) is bracketed on [1e-12, 1-1e-12], bisected to width
-    1e-10, then polished with 3 Newton steps; deterministic across
-    platforms.
+    1e-10, then polished with 3 Newton steps of p.f and p.f_prime, which
+    need only the temperatures set; deterministic across platforms.
     """
     if p.kind == "gl":
         return 1.0
     lo, hi = 1e-12, 1.0 - 1e-12
-    flo, fhi = _fh_f(p, lo), _fh_f(p, hi)
-    if not (flo > 0.0 > fhi):
+    if not (p.f(lo) > 0.0 > p.f(hi)):
         raise ValueError("no sign change on the root bracket; invalid theta, theta_c")
     while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
-        if _fh_f(p, mid) > 0.0:
+        if p.f(mid) > 0.0:
             lo = mid
         else:
             hi = mid
     x = 0.5 * (lo + hi)
     for _ in range(3):
-        x -= _fh_f(p, x) / _fh_fprime(p, x)
+        x -= p.f(x) / p.f_prime(x)
     return float(x)
 
 
-def _fh_f(p, u):
-    # raw scalar forms, usable before the instance finishes construction
-    return 0.5 * p.theta * np.log((1.0 - u) / (1.0 + u)) + p.theta_c * u
-
-
-def _fh_fprime(p, u):
-    return -p.theta / (1.0 - u * u) + p.theta_c
-
-
 def compute_kappa_min(p) -> float:
-    """max of |f'| over [-beta, beta], computed from the endpoint/center values.
+    """max of |f'| over [-beta, beta], from p.f_prime at 0 and at beta.
 
-    Both wells have f' monotone in xi^2, so the maximum is attained at
-    xi = 0 or xi = +-beta.
+    Both wells have f' even and monotone in xi^2, so the maximum is
+    attained at xi = 0 or xi = +-beta.
     """
-    beta = p.beta
-    if p.kind == "gl":
-        return max(abs(1.0 - 3.0 * beta * beta), 1.0)
-    return max(abs(p.theta_c - p.theta), abs(p.theta / (1.0 - beta * beta) - p.theta_c))
+    return float(max(abs(p.f_prime(0.0)), abs(p.f_prime(p.beta))))

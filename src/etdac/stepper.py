@@ -23,7 +23,6 @@ modes produce bit-identical steps whenever the computed a is one everywhere.
 from __future__ import annotations
 
 import functools
-import inspect
 import itertools
 import math
 
@@ -38,7 +37,7 @@ from .spectral import SpectralPlan
 
 __all__ = [
     "StepContext",
-    "StageState",
+    "StepFailure",
     "BoundExceeded",
     "NumericalBlowup",
     "step",
@@ -56,24 +55,23 @@ _CELLS, _NEWTON_STEPS, _BLOCK = 8, 8, 2048  # the search for derivative roots of
 MAX_ORDER = 10
 
 
-class BoundExceeded(RuntimeError):
-    """A stage value of step step_index left the potential's domain (standard mode only)."""
+class StepFailure(RuntimeError):
+    """A stage value of step step_index left the potential's domain (BoundExceeded,
+    standard mode only) or became non-finite (NumericalBlowup); what heads the message."""
 
     def __init__(self, level: int, stage: int, step_index: int):
         self.level = level
         self.stage = stage
         self.step_index = step_index
-        super().__init__(f"stage value outside the potential domain at level {level}, stage {stage}")
+        super().__init__(f"{self.what} at level {level}, stage {stage}")
 
 
-class NumericalBlowup(RuntimeError):
-    """A stage value of step step_index became non-finite."""
+class BoundExceeded(StepFailure):
+    what = "stage value outside the potential domain"
 
-    def __init__(self, level: int, stage: int, step_index: int):
-        self.level = level
-        self.stage = stage
-        self.step_index = step_index
-        super().__init__(f"non-finite stage value at level {level}, stage {stage}")
+
+class NumericalBlowup(StepFailure):
+    what = "non-finite stage value"
 
 
 class StepContext:
@@ -102,7 +100,6 @@ class StepContext:
         self.rescaled = bool(rescaled)
         self.kappa_beta = plan.kappa * potential.beta
         self._phi_grids: dict[tuple[int, float], np.ndarray] = {}
-        self._f_takes_out = "out" in inspect.signature(potential.f).parameters
         self._workspace = None
 
     def phi_grid(self, j: int, s: float) -> np.ndarray:
@@ -134,17 +131,12 @@ class StepContext:
         """N(u) = f(u) + kappa u on raw values.
 
         Given out, a field that is not values, N goes there and kappa u
-        through the workspace's tmp, so neither may be tmp.  A potential
-        whose f takes no out computes f(u) apart and it is copied in.
+        through the workspace's tmp, so neither may be tmp.
         """
-        if out is None:
-            return self.potential.f(values) + self.plan.kappa * values
-        if self._f_takes_out:
-            self.potential.f(values, out=out)
-        else:
-            out[...] = self.potential.f(values)
-        out += np.multiply(self.plan.kappa, values, out=self.workspace.tmp.reshape(out.shape))
-        return out
+        n = self.potential.f(values, out=out)
+        tmp = None if out is None else self.workspace.tmp.reshape(out.shape)
+        n += np.multiply(self.plan.kappa, values, out=tmp)
+        return n
 
 
 class Workspace:
@@ -182,66 +174,55 @@ def phi_keys(spec: SchemeSpec, tau: float) -> set[tuple[int, float]]:
     return keys
 
 
-class StageState:
-    """Interpolation polynomial of one cascade level, kept as the spectra
-    of its scaled rows.
-
-    poly is (level+1, ncells): row 0 is the unscaled N(u_n) and row m the
-    coefficient c_m of (s/tau)^m.  alpha is the pointwise scaling factor,
-    None for one at every point, and alpha_min its minimum, taken once;
-    hats[m] is the transform of alpha*poly[m], so the state's level is
-    len(hats) - 1.  Where alpha_min is one, 1.0 * poly is poly, so the
-    rows go unscaled, and hat0, when given, is called for row 0's
-    transform, which the caller already has.  The spectra are computed in
-    out, a (level+1, ny, nx) array, or in a new one.
-    """
-
-    def __init__(self, mesh: Mesh2D, poly: np.ndarray, alpha: Field = None, hat0=None, out=None):
-        self.alpha_min = 1.0 if alpha is None else float(alpha.values.min())
-        rows = np.empty((len(poly), mesh.ny, mesh.nx)) if out is None else out
-        flat = rows.reshape(len(poly), mesh.ncells)
-        if self.alpha_min != 1.0:
-            np.multiply(alpha.values, poly, out=flat)
-            hat0 = None
-        else:
-            first = 0 if hat0 is None else 1
-            flat[first:] = poly[first:]
-        self.hats = [_dct(rows[0]) if hat0 is None else hat0()] + [_dct(row) for row in rows[1:]]
-
-
 def _dct(grid: np.ndarray) -> np.ndarray:
     """The DCT of a (ny, nx) array, computed in it."""
     return scipy.fft.dctn(grid, type=2, norm="ortho", overwrite_x=True)
 
 
-def _make_state(ctx: StepContext, poly: np.ndarray, n0_hat) -> StageState:
-    """The level's state, its spectra in the workspace.  Where alpha is one
-    at every point, row 0 is N(u_n), whose transform is the step's one,
-    n0_hat()."""
-    mesh = ctx.plan.mesh
-    alpha = rescale_factor(mesh, poly, ctx.kappa_beta) if ctx.rescaled else None
-    return StageState(mesh, poly, alpha, hat0=n0_hat, out=ctx.workspace.hats[: len(poly)])
+def _spectra(poly: np.ndarray, alpha: Field, out: np.ndarray, hat0=None) -> tuple[list, float]:
+    """(hats, alpha_min): the spectra of alpha * poly's rows, computed in
+    out, a (len(poly), ny, nx) array, and alpha's minimum.
+
+    poly is a level's (level+1, ncells) polynomial: row 0 the unscaled
+    N(u_n), row m the coefficient c_m of (s/tau)^m.  alpha is the
+    pointwise factor, None for one at every point.  Where alpha_min is
+    one, 1.0 * poly is poly, so the rows go unscaled, and hat0, when
+    given, is called for row 0's transform, which the caller has.
+    """
+    alpha_min = 1.0 if alpha is None else float(alpha.values.min())
+    flat = out.reshape(len(poly), -1)
+    if alpha_min != 1.0:
+        np.multiply(alpha.values, poly, out=flat)
+        hat0 = None
+    else:
+        first = 0 if hat0 is None else 1
+        flat[first:] = poly[first:]
+    return [_dct(out[0]) if hat0 is None else hat0()] + [_dct(row) for row in out[1:]], alpha_min
 
 
-def _stage_values(ctx: StepContext, s: float, u_hat: np.ndarray, state: StageState,
+def _stage_values(ctx: StepContext, s: float, u_hat: np.ndarray, hats: list,
                   acc: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """w_level(s) as flat values, level = len(state.hats), from the state's
+    """w_level(s) as flat values, level = len(hats), from the level's
     spectra: summed in acc with each product in tmp, then transformed in acc."""
     np.multiply(ctx.phi_grid(0, s), u_hat, out=acc)
-    for m, hat in enumerate(state.hats):
+    for m, hat in enumerate(hats):
         acc += np.multiply(ctx.phi_grid(m + 1, s), hat, out=tmp)
     vals = scipy.fft.idctn(acc, type=2, norm="ortho", overwrite_x=True)
     return vals.reshape(ctx.plan.mesh.ncells)
 
 
-def evaluate_stage(ctx: StepContext, s: float, u_n: Field, state: StageState) -> Field:
-    """Evaluate w_level(s) for s in (0, tau], level = len(state.hats)."""
+def evaluate_stage(ctx: StepContext, s: float, u_n: Field, poly: np.ndarray, alpha: Field = None) -> Field:
+    """Evaluate w_level(s) for s in (0, tau], level = len(poly), of the
+    level's polynomial poly scaled pointwise by alpha (see _spectra)."""
     if not 0.0 < s <= ctx.tau * (1.0 + 1e-12):
         raise ValueError(f"stage time s={s} outside (0, tau]")
     if u_n.mesh != ctx.plan.mesh:
         raise ValueError("field mesh does not match the plan's mesh")
+    if poly.ndim != 2 or poly.shape[1] != u_n.mesh.ncells:
+        raise ValueError(f"poly must have one column per cell, {u_n.mesh.ncells}, got shape {poly.shape}")
+    hats, _ = _spectra(poly, alpha, np.empty((len(poly), u_n.mesh.ny, u_n.mesh.nx)))
     acc, tmp = np.empty((2, u_n.mesh.ny, u_n.mesh.nx))
-    return Field(u_n.mesh, _stage_values(ctx, s, _dct(u_n.grid().copy()), state, acc, tmp))
+    return Field(u_n.mesh, _stage_values(ctx, s, _dct(u_n.grid().copy()), hats, acc, tmp))
 
 
 def _all_finite(values: np.ndarray) -> bool:
@@ -257,9 +238,9 @@ def step(ctx: StepContext, u_n: Field, *, n: int = 1) -> tuple[Field, float]:
     """Advance one step; returns (u_next, alpha_min).
 
     alpha_min is the smallest rescale factor at any cascade level, 1.0 when
-    nothing shrank.  n is the step's index, which labels a BoundExceeded or
-    NumericalBlowup raised here.  Every array but u_next is the context's
-    workspace, which u_next does not share.
+    nothing shrank.  n is the step's index, which labels a StepFailure
+    raised here.  Every array but u_next is the context's workspace, which
+    u_next does not share.
     """
     mesh = u_n.mesh
     if mesh != ctx.plan.mesh:
@@ -276,37 +257,39 @@ def step(ctx: StepContext, u_n: Field, *, n: int = 1) -> tuple[Field, float]:
     except ValueError as exc:
         raise BoundExceeded(0, 0, n) from exc
 
+    @functools.cache
     def n0_hat():
+        """N(u_n)'s spectrum, built on first use: a step where every level shrinks needs none."""
         ws.n0_hat.reshape(mesh.ncells)[...] = n0
         return _dct(ws.n0_hat)
 
-    n0_hat = functools.cache(n0_hat)
-    state = _make_state(ctx, ws.poly[:1], n0_hat)
-    alpha_min = state.alpha_min
     ws.u_hat.reshape(mesh.ncells)[...] = u_n.values
     u_hat = _dct(ws.u_hat)
 
-    for j in ctx.spec.levels:
-        system = ctx.spec.systems[j - 1]
+    alpha_min = 1.0
+    for j in range(ctx.spec.order):
         poly = ws.poly[: j + 1]
-        for k in range(1, j + 1):
-            w = _stage_values(ctx, system.nodes[k] * ctx.tau, u_hat, state, ws.acc, ws.tmp)
-            if not _all_finite(w):
-                raise NumericalBlowup(j, k, n)
-            try:
-                ctx.nonlinearity(w, out=poly[k])
-            except ValueError as exc:
-                raise BoundExceeded(j, k, n) from exc
-            poly[k] -= n0
-        scratch = (ws.hats[1 : j + 1].reshape(j, mesh.ncells), ws.scratch[:j])
-        system.solve(poly[1:], out=poly[1:], scratch=scratch)
-        state = _make_state(ctx, poly, n0_hat)
-        alpha_min = min(alpha_min, state.alpha_min)
+        if j:
+            system = ctx.spec.systems[j - 1]
+            for k in range(1, j + 1):
+                w = _stage_values(ctx, system.nodes[k] * ctx.tau, u_hat, hats, ws.acc, ws.tmp)
+                if not _all_finite(w):
+                    raise NumericalBlowup(j, k, n)
+                try:
+                    ctx.nonlinearity(w, out=poly[k])
+                except ValueError as exc:
+                    raise BoundExceeded(j, k, n) from exc
+                poly[k] -= n0
+            scratch = (ws.hats[1 : j + 1].reshape(j, mesh.ncells), ws.scratch[:j])
+            system.solve(poly[1:], out=poly[1:], scratch=scratch)
+        # unbound, so that no level's alpha outlives its spectra
+        hats, level_min = _spectra(poly, rescale_factor(mesh, poly, ctx.kappa_beta) if ctx.rescaled else None,
+                                   ws.hats[: j + 1], n0_hat)
+        alpha_min = min(alpha_min, level_min)
 
-    r = ctx.spec.order
-    out = _stage_values(ctx, ctx.tau, u_hat, state, np.empty((mesh.ny, mesh.nx)), ws.tmp)
+    out = _stage_values(ctx, ctx.tau, u_hat, hats, np.empty((mesh.ny, mesh.nx)), ws.tmp)
     if not _all_finite(out):
-        raise NumericalBlowup(r, r, n)
+        raise NumericalBlowup(ctx.spec.order, ctx.spec.order, n)
     return Field(mesh, out), alpha_min
 
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -320,6 +321,23 @@ class TestRunLoop:
         assert u is self.u0
         assert isinstance(err, NumericalBlowup) and err.step_index == 1
         assert [(d.n, d.t) for d in report.series] == [(0, 0.0)]
+
+    @pytest.mark.parametrize("run", ["_integrate", "_final"])
+    def test_the_shortened_last_step_has_the_only_live_context(self, monkeypatch, run):
+        # the full steps' context, with its phi grids and workspace, is
+        # unreachable before the shortened step builds its own
+        contexts, alive = [], []
+        real_step = cli.step
+
+        def spy(ctx, u, **kwargs):
+            if not contexts or contexts[-1]() is not ctx:
+                alive.append([ref() is not None for ref in contexts])
+                contexts.append(weakref.ref(ctx))
+            return real_step(ctx, u, **kwargs)
+
+        monkeypatch.setattr(cli, "step", spy)
+        getattr(cli, run)(self.plan, self.potential, make_scheme(3), True, 0.5, 1.25, self.u0)
+        assert alive == [[], [False]]
 
     @pytest.mark.parametrize("rescaled", [False, True])
     def test_final_field_equals_the_recorded_runs(self, rescaled):

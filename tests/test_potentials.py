@@ -58,6 +58,21 @@ class TestFloryHuggins:
         assert fh.kappa_min == pytest.approx(8.02, abs=0.05)
         assert fh.kappa_min == pytest.approx(FH_KAPPA_MIN, abs=1e-12)
 
+    def test_bound_and_stabilizer_are_pinned_bit_for_bit(self, fh):
+        assert (fh.beta, fh.kappa_min) == (FH_BETA, FH_KAPPA_MIN)
+
+    @pytest.mark.parametrize("theta, theta_c, beta", [
+        (0.5, 2.0, 0.9993256730151082),
+        (0.3, 0.31, 0.30704913846237036),
+        (1.0, 5.0, 0.9999091217152325),
+        (0.9, 1.0, 0.5254295126580086),
+    ])
+    def test_kappa_min_is_the_closed_form_bit_for_bit(self, theta, theta_c, beta):
+        # beta as the bisection and Newton polish gave it, exactly
+        p = FloryHuggins(theta, theta_c)
+        assert p.beta == beta
+        assert p.kappa_min == max(abs(theta_c - theta), abs(theta / (1.0 - beta * beta) - theta_c))
+
     def test_kappa_min_matches_dense_scan(self, fh):
         xi = np.linspace(-fh.beta, fh.beta, 1_000_001)
         scanned = float(np.max(np.abs(fh.f_prime(xi))))

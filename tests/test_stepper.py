@@ -15,8 +15,8 @@ from etdac.spectral import SpectralPlan, apply_phi
 from etdac.stepper import (
     BoundExceeded,
     NumericalBlowup,
-    StageState,
     StepContext,
+    StepFailure,
     evaluate_stage,
     phi_keys,
     polynomial_abs_max,
@@ -43,7 +43,8 @@ def stacked(n0, coeffs):
 
 
 def make_state(n0, coeffs, alpha):
-    return StageState(n0.mesh, stacked(n0, coeffs), alpha)
+    """The (poly, alpha) arguments of evaluate_stage."""
+    return stacked(n0, coeffs), alpha
 
 
 def rescale(n0, coeffs, kappa_beta):
@@ -60,8 +61,8 @@ class LinearDrift:
         self.beta = 1.0
         self.kappa_min = kappa
 
-    def f(self, u):
-        return -self.kappa * np.asarray(u, dtype=np.float64)
+    def f(self, u, out=None):
+        return np.multiply(-self.kappa, np.asarray(u, dtype=np.float64), out=out)
 
     def F(self, u):
         u = np.asarray(u, dtype=np.float64)
@@ -425,7 +426,7 @@ class TestStepContext:
 
     @pytest.mark.parametrize("potname", ["gl", "fh", "drift"])
     def test_nonlinearity_into_out_matches(self, request, mesh8, potname):
-        # LinearDrift.f takes no out; the context copies its result in
+        # the tests' own LinearDrift follows the f(u, out=None) protocol as the wells do
         pot = LinearDrift(2.0) if potname == "drift" else request.getfixturevalue(potname)
         ctx = make_ctx(mesh8, pot, 2, 0.1)
         u = random_field(mesh8, 3, -0.9 * pot.beta, 0.9 * pot.beta).values
@@ -464,7 +465,7 @@ class TestEvaluateStage:
         n0 = Field(mesh8, ctx.nonlinearity(u.values))
         state = make_state(n0, [], ones_field(mesh8))
         s = 0.13
-        got = evaluate_stage(ctx, s, u, state)
+        got = evaluate_stage(ctx, s, u, *state)
         want = apply_phi(ctx.plan, 0, s, u).values + s * apply_phi(ctx.plan, 1, s, n0).values
         assert np.max(np.abs(got.values - want)) < 1e-13
 
@@ -480,7 +481,7 @@ class TestEvaluateStage:
         alpha = Field(mesh8, np.full(mesh8.ncells, rescale_const))
         state = make_state(n0, coeffs, alpha)
         s = s_frac * tau
-        got = evaluate_stage(ctx, s, u, state)
+        got = evaluate_stage(ctx, s, u, *state)
         want = duhamel_stage(
             mesh8, 0.1, ctx.plan.kappa, u.values,
             rescale_const * n0.values,
@@ -488,14 +489,20 @@ class TestEvaluateStage:
         rel = np.linalg.norm(got.values - want) / np.linalg.norm(want)
         assert rel < 1e-10
 
+    @pytest.mark.parametrize("shape", [(64,), (2, 63), (1, 2, 64)])
+    def test_poly_needs_rows_of_one_value_per_cell(self, mesh8, gl, shape):
+        ctx = make_ctx(mesh8, gl, 2, 0.2)
+        with pytest.raises(ValueError, match="one column per cell"):
+            evaluate_stage(ctx, 0.1, sinprod(mesh8, 0.4), np.zeros(shape))
+
     def test_stage_time_domain_enforced(self, mesh8, gl):
         ctx = make_ctx(mesh8, gl, 2, 0.2)
         u = sinprod(mesh8, 0.4)
         state = make_state(Field(mesh8, ctx.nonlinearity(u.values)), [], ones_field(mesh8))
         with pytest.raises(ValueError):
-            evaluate_stage(ctx, 0.0, u, state)
+            evaluate_stage(ctx, 0.0, u, *state)
         with pytest.raises(ValueError):
-            evaluate_stage(ctx, 0.3, u, state)
+            evaluate_stage(ctx, 0.3, u, *state)
 
 
 def replicate_cascade(ctx, u):
@@ -513,12 +520,12 @@ def replicate_cascade(ctx, u):
         nodes = ctx.spec.systems[j - 1].nodes
         d = np.empty((j, mesh.ncells))
         for k in range(1, j + 1):
-            w = evaluate_stage(ctx, nodes[k] * ctx.tau, u, state)
+            w = evaluate_stage(ctx, nodes[k] * ctx.tau, u, *state)
             stages.append(w)
             d[k - 1] = ctx.nonlinearity(w.values) - n0.values
         c = ctx.spec.systems[j - 1].solve(d)
         state = state_of([Field(mesh, c[m]) for m in range(j)])
-    final = evaluate_stage(ctx, ctx.tau, u, state)
+    final = evaluate_stage(ctx, ctx.tau, u, *state)
     stages.append(final)
     return final, stages
 
@@ -594,6 +601,16 @@ class TestStep:
         assert info.value.level >= 1
         assert info.value.stage >= 1
         assert info.value.step_index == 4
+
+    @pytest.mark.parametrize("cls, what", [
+        (BoundExceeded, "stage value outside the potential domain"),
+        (NumericalBlowup, "non-finite stage value"),
+    ])
+    def test_failures_share_one_base_and_keep_their_messages(self, cls, what):
+        err = cls(2, 1, 9)
+        assert isinstance(err, StepFailure) and isinstance(err, RuntimeError)
+        assert (err.level, err.stage, err.step_index) == (2, 1, 9)
+        assert str(err) == f"{what} at level 2, stage 1"
 
     def test_mesh_mismatch_rejected(self, mesh8, gl):
         ctx = make_ctx(mesh8, gl, 2, 0.1)
@@ -816,7 +833,7 @@ class TestWorkspace:
         u1, _ = step(ctx, u0, n=1)
         assert np.array_equal(u0.values, kept)
         n0 = Field(mesh32, ctx.nonlinearity(u1.values))
-        w = evaluate_stage(ctx, 0.25, u1, make_state(n0, [], ones_field(mesh32)))
+        w = evaluate_stage(ctx, 0.25, u1, *make_state(n0, [], ones_field(mesh32)))
         before = (u1.values.copy(), w.values.copy())
         u2, _ = step(ctx, u1, n=2)
         assert np.array_equal(u1.values, before[0])
