@@ -25,7 +25,7 @@ from .config import (
 from .diagnostics import MBP_TOL, RunReport, record, write_csv
 from .grid import Field, l2_norm, max_norm, write_field_csv
 from .scheme import Vandermonde, make_nodes, make_scheme, sigma_min, tau_max
-from .stepper import StepContext, StepFailure, phi_keys, step
+from .stepper import MAX_ORDER, StepContext, StepFailure, phi_keys, step
 
 __all__ = ["main"]
 
@@ -212,6 +212,8 @@ def cmd_run(cfg, args) -> int:
 def _parse_ref(spec_str: str, order: int) -> tuple[int, float | None]:
     """Returns (ref_order, finest_divider); divider None means order_up."""
     if spec_str == "order_up":
+        if order >= MAX_ORDER:
+            raise ConfigError(f"--ref order_up needs order {order + 1}; stepping supports order <= {MAX_ORDER}")
         return order + 1, None
     if spec_str.startswith("self_finer"):
         parts = spec_str.split(":")
@@ -234,6 +236,8 @@ def cmd_converge(cfg, args) -> int:
     else:
         taus = [0.1 * 2.0**-k for k in range(6)]
     taus = sorted(taus, reverse=True)
+    if len(set(taus)) < len(taus):
+        raise ConfigError(f"--taus repeats a step size: {args.taus}")
     if len(taus) < 3:
         raise ConfigError("a convergence study needs at least 3 step sizes")
     t_end = cfg["t_end"]

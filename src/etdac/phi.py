@@ -18,7 +18,10 @@ evaluation is split into three regions chosen by |z| relative to j:
 
 Compensated (Kahan) summation is used throughout, keeping the relative
 error a few ulp, well inside the 1e-13 contract for j <= 10 and
-z in [-1e6, 0].
+z in [-1e6, 0].  Integer powers of the negative arguments are raised on
+|z| with the sign restored by the exponent's parity: numpy's vector pow
+takes positive bases only and calls libm once per element on negative
+ones, and libm's pow is itself sign-symmetric in that way.
 """
 
 from __future__ import annotations
@@ -52,14 +55,21 @@ def _phi_taylor(j, z):
     return s
 
 
+def _neg_pow(x, k):
+    """x^k for an array x < 0 and an integer k >= 0, as (-1)^k |x|^k."""
+    p = np.power(-x, k)
+    return -p if k % 2 else p
+
+
 def _phi_forward(j, z):
     """(e^z - sum_{k<j} z^k/k!) / z^j for the intermediate range."""
     s = np.zeros_like(z)
     c = np.zeros_like(z)
     for k in range(j):
-        # z^k by pow and exact integer k! keep each term near 1 ulp
-        s, c = _kahan_add(s, c, np.power(z, k) / factorial(k))
-    return (np.exp(z) - s) / np.power(z, j)
+        # z^k by pow on the positive base |z| (numpy's vector path) and exact
+        # integer k! keep each term near 1 ulp
+        s, c = _kahan_add(s, c, _neg_pow(z, k) / factorial(k))
+    return (np.exp(z) - s) / _neg_pow(z, j)
 
 
 def _phi_reciprocal(j, z):
@@ -71,7 +81,7 @@ def _phi_reciprocal(j, z):
     for m in range(1, j + 1):
         p = p * w
         s, c = _kahan_add(s, c, p / factorial(j - m))
-    return np.exp(z) * np.power(w, j) - s
+    return np.exp(z) * _neg_pow(w, j) - s
 
 
 def _phi_core(j, z):

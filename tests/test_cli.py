@@ -407,6 +407,39 @@ class TestConverge:
         assert "does not divide" in capsys.readouterr().err
         assert taus == []
 
+    def test_order_up_above_the_highest_order_is_refused_before_set_up(self, tmp_path, capsys, monkeypatch):
+        # the order-11 reference used to raise a ValueError traceback from
+        # its step context, after --out had been made
+        def refuse(*args):
+            raise AssertionError("set up a solve")
+
+        monkeypatch.setattr(cli, "_setup", refuse)
+        out = tmp_path / "o"
+        rc = main(["converge", "--grid", "8", "--order", "10", "--t-end", "0.4",
+                   "--taus", "0.1,0.05,0.025", "--ref", "order_up", "--out", str(out)])
+        assert rc == 2
+        assert "order_up needs order 11" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_step_size_is_refused_before_any_step(self, tmp_path, capsys, monkeypatch):
+        # a repeated tau used to be solved twice, with a rate of 0.000
+        # between the two identical runs
+        taus = []
+        real_step = cli.step
+
+        def spy(ctx, u, **kwargs):
+            taus.append(ctx.tau)
+            return real_step(ctx, u, **kwargs)
+
+        monkeypatch.setattr(cli, "step", spy)
+        out = tmp_path / "o"
+        rc = main(["converge", "--grid", "8", "--t-end", "0.4",
+                   "--taus", "0.1,0.1,0.05", "--ref", "self_finer:1", "--out", str(out)])
+        assert rc == 2
+        assert "repeats a step size" in capsys.readouterr().err
+        assert taus == []
+        assert not out.exists()
+
 
 class TestMbpTest:
     def test_logarithmic_potential_sweep(self, tmp_path, capsys):

@@ -107,8 +107,10 @@ class TestPhiBatch:
         assert out[0] == 1.0
         assert out[1] == pytest.approx(1.0 - math.exp(-1.0), rel=1e-14)
 
-    @pytest.mark.parametrize("j", [0, 1, 4, 10])
+    @pytest.mark.parametrize("j", [0, 1, 2, 3, 4, 5, 7, 10])
     def test_batch_equals_scalar_bitwise(self, j):
+        # odd and even powers >= 3 run for j in {3, 5, 7}; numpy's vector
+        # loops treat tails and strides apart, hence the odd-length slice
         rng = np.random.default_rng(11)
         zs = -np.concatenate([
             rng.uniform(0.0, 0.4, 300),
@@ -118,6 +120,27 @@ class TestPhiBatch:
         batch = phi_batch(j, zs)
         scalars = np.array([phi(j, float(z)) for z in zs])
         assert np.array_equal(batch, scalars)
+        strided = zs[1::3]
+        assert strided.size % 2 == 1
+        assert np.array_equal(phi_batch(j, strided), phi_batch(j, strided.copy()))
+        assert np.array_equal(phi_batch(j, strided), scalars[1::3])
+
+    def test_powers_are_raised_on_positive_bases(self, monkeypatch):
+        # numpy's vector pow serves positive bases only; a negative base
+        # takes its per-element libm path, about ten times slower
+        real_power = np.power
+        bases = []
+
+        def spy(x, k, *args, **kwargs):
+            bases.append(np.min(x))
+            return real_power(x, k, *args, **kwargs)
+
+        monkeypatch.setattr(np, "power", spy)
+        for j in range(11):
+            # Taylor, forward and reciprocal branches of every index
+            zs = -np.concatenate([[0.0, 0.3], np.linspace(0.6, 2.0 * (j + 1) + 1.0, 50), [1e3, 1e6]])
+            phi_batch(j, zs)
+        assert bases and min(bases) >= 0.0
 
     def test_batch_preserves_shape(self):
         zs = -np.arange(6, dtype=float).reshape(2, 3)
