@@ -254,6 +254,7 @@ def cmd_converge(cfg, args) -> int:
     order = int(cfg["order"])
     ref_order, divider = _parse_ref(args.ref, order)
     tau_ref = min(taus) if divider is None else min(taus) / divider
+    _split_steps(t_end, tau_ref)  # an oversized reference plan is refused before any set-up
     ref_spec, spec = make_scheme(ref_order, cfg["nodes"]), make_scheme(order, cfg["nodes"])
     potential, plan, u0 = _setup(cfg, [(ref_spec, tau_ref)] + [(spec, tau) for tau in taus])
     out = _outdir(cfg)

@@ -72,7 +72,9 @@ class Vandermonde:
     solve() accepts stacked right-hand sides of shape (r,) or (r, m); the
     r x r inverse is computed once from the LU factorization and applied by
     matrix products over the trailing axis, so per-grid-point systems cost
-    O(grid) without a triangular solve per call.
+    O(grid) without a triangular solve per call.  roundoff is
+    eps * ||V^{-1}||_1 (the largest column sum of |V^{-1}|), the relative
+    rounding a solve may leave in its solution (Higham, ch. 12).
     """
 
     def __init__(self, nodeset: NodeSet):
@@ -86,6 +88,7 @@ class Vandermonde:
         if not np.all(np.isfinite(lu)) or np.any(np.abs(np.diag(lu)) < 1e-300):
             raise ValueError("Vandermonde matrix is singular to working precision")
         self._inv = scipy.linalg.lu_solve((lu, piv), np.eye(self.r))
+        self.roundoff = float(np.abs(self._inv).sum(axis=0).max() * np.finfo(float).eps)
 
     def solve(self, rhs: np.ndarray, out: np.ndarray = None, scratch=None) -> np.ndarray:
         """Solve V c = rhs; rhs may stack many systems along axis 1.

@@ -48,7 +48,7 @@ __all__ = [
 ]
 
 _REAL_ROOT_TOL = 1e-10
-# the flat test of rescale_factor, and 64 ulp over the l1 sum's rounding
+# the least tolerance of rescale_factor's flat test, and 64 ulp over the l1 sum's rounding
 _FLAT_TOL, _HEADROOM = 1e-12, 1.0 + 64.0 * np.finfo(float).eps
 _CELLS, _NEWTON_STEPS, _BLOCK = 8, 8, 2048  # the search for derivative roots of degree >= 3
 # phi's 1e-13 contract and the Vandermonde residual tests cover j <= 10
@@ -266,11 +266,13 @@ def step(ctx: StepContext, u_n: Field, *, n: int = 1) -> tuple[Field, float]:
     ws.u_hat.reshape(mesh.ncells)[...] = u_n.values
     u_hat = _dct(ws.u_hat)
 
-    alpha_min = 1.0
+    alpha_min, flat_tol = 1.0, _FLAT_TOL
     for j in range(ctx.spec.order):
         poly = ws.poly[: j + 1]
         if j:
             system = ctx.spec.systems[j - 1]
+            # the flat test's tolerance: at least the rounding the solve leaves in c
+            flat_tol = max(_FLAT_TOL, system.roundoff)
             for k in range(1, j + 1):
                 w = _stage_values(ctx, system.nodes[k] * ctx.tau, u_hat, hats, ws.acc, ws.tmp)
                 if not _all_finite(w):
@@ -283,8 +285,8 @@ def step(ctx: StepContext, u_n: Field, *, n: int = 1) -> tuple[Field, float]:
             scratch = (ws.hats[1 : j + 1].reshape(j, mesh.ncells), ws.scratch[:j])
             system.solve(poly[1:], out=poly[1:], scratch=scratch)
         # unbound, so that no level's alpha outlives its spectra
-        hats, level_min = _spectra(poly, rescale_factor(mesh, poly, ctx.kappa_beta) if ctx.rescaled else None,
-                                   ws.hats[: j + 1], n0_hat)
+        hats, level_min = _spectra(poly, rescale_factor(mesh, poly, ctx.kappa_beta, flat_tol) if ctx.rescaled
+                                   else None, ws.hats[: j + 1], n0_hat)
         alpha_min = min(alpha_min, level_min)
 
     out = _stage_values(ctx, ctx.tau, u_hat, hats, np.empty((mesh.ny, mesh.nx)), ws.tmp)
@@ -293,7 +295,7 @@ def step(ctx: StepContext, u_n: Field, *, n: int = 1) -> tuple[Field, float]:
     return Field(mesh, out), alpha_min
 
 
-def rescale_factor(mesh: Mesh2D, poly: np.ndarray, kappa_beta: float) -> Field:
+def rescale_factor(mesh: Mesh2D, poly: np.ndarray, kappa_beta: float, flat_tol: float = _FLAT_TOL) -> Field:
     """Pointwise a = min(kappa_beta / max_{s in [0,1]} |P(x, s)|, 1).
 
     poly is (d+1, ncells) with P(x, s) = sum_m poly[m](x) s^m on the unit
@@ -301,11 +303,15 @@ def rescale_factor(mesh: Mesh2D, poly: np.ndarray, kappa_beta: float) -> Field:
     coefficient l1 bound, then the Bernstein coefficient bound (a polynomial
     on [0, 1] stays inside the convex hull of its Bernstein coefficients).
     Both only ever certify a = 1.  A flat point of degree >= 1, with
-    sum_{m>=1} |c_m| <= _FLAT_TOL |c_0|, then takes its l1 sum as max |P|:
-    an upper bound within _FLAT_TOL, so a is up to _FLAT_TOL smaller,
+    sum_{m>=1} |c_m| <= flat_tol |c_0|, then takes its l1 sum as max |P|:
+    an upper bound within flat_tol, so a is up to flat_tol smaller,
     relatively, than from the exact maximum, which decides every other
     point, its critical points from Bernstein isolation and Newton, and from
     companion eigenvalues where that is inconclusive (polynomial_abs_max).
+    step passes max(_FLAT_TOL, V_d.roundoff) at degree d, the rounding its
+    solve leaves in c: _FLAT_TOL = 1e-12 for uniform nodes up to d = 5 and
+    Chebyshev up to d = 6, then 2.7e-12, 1.9e-11, 1.3e-10, 9.4e-10 (uniform,
+    d = 6..9) and 4.9e-12, 2.5e-11, 1.3e-10 (Chebyshev, d = 7..9).
     """
     if not 0.0 < kappa_beta < math.inf:
         raise ValueError("kappa_beta must be finite and positive")
@@ -321,7 +327,7 @@ def rescale_factor(mesh: Mesh2D, poly: np.ndarray, kappa_beta: float) -> Field:
         bern = np.abs(_bernstein_matrix(poly.shape[0] - 1) @ poly[:, suspicious])
         suspicious = suspicious[bern.max(axis=0) > kappa_beta]
         c0, top = np.abs(poly[0, suspicious]), l1[suspicious]
-        flat = top - c0 <= _FLAT_TOL * c0
+        flat = top - c0 <= flat_tol * c0
         alpha[suspicious[flat]] = np.minimum(kappa_beta / (top[flat] * _HEADROOM), 1.0)
         suspicious = suspicious[~flat]
     if suspicious.size:

@@ -421,6 +421,20 @@ class TestConverge:
         assert "order_up needs order 11" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_oversized_reference_plan_is_refused_before_set_up(self, tmp_path, capsys, monkeypatch):
+        # the reference's step plan used to be checked by its own solve,
+        # after --out, the plan and the initial field had been made
+        def refuse(*args):
+            raise AssertionError("set up a solve")
+
+        monkeypatch.setattr(cli, "_setup", refuse)
+        out = tmp_path / "o"
+        rc = main(["converge", "--grid", "8", "--t-end", "0.4", "--taus", "0.1,0.05,0.025",
+                   "--ref", "self_finer:100000000", "--out", str(out)])
+        assert rc == 2
+        assert "plans more than" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_repeated_step_size_is_refused_before_any_step(self, tmp_path, capsys, monkeypatch):
         # a repeated tau used to be solved twice, with a rate of 0.000
         # between the two identical runs

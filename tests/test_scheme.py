@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import etdac.stepper as stepper
 from etdac.scheme import (
     NODE_KINDS,
     NodeSet,
@@ -149,6 +150,23 @@ class TestVandermonde:
     def test_degree_zero_rejected(self):
         with pytest.raises(ValueError):
             Vandermonde(make_nodes(0))
+
+    @pytest.mark.parametrize("r", range(1, 10))
+    @pytest.mark.parametrize("kind", NODE_KINDS)
+    def test_roundoff_is_eps_times_the_inverse_one_norm(self, r, kind):
+        v = Vandermonde(make_nodes(r, kind))
+        inv = np.linalg.inv(v.matrix)
+        want = np.finfo(float).eps * np.abs(inv).sum(axis=0).max()
+        assert v.roundoff == pytest.approx(want, rel=1e-6)
+
+    @pytest.mark.parametrize("kind, highest", [("uniform", 5), ("chebyshev", 6)])
+    def test_roundoff_leaves_the_flat_tolerance_alone_up_to_order_six(self, kind, highest):
+        # the stepper's flat test takes max(1e-12, roundoff) at each level,
+        # so every run of order <= highest + 1 keeps 1e-12 and its bits
+        flat_tol = stepper._FLAT_TOL
+        tols = [max(flat_tol, Vandermonde(make_nodes(r, kind)).roundoff) for r in range(1, 10)]
+        assert tols[:highest] == [flat_tol] * highest
+        assert all(t > flat_tol for t in tols[highest:])
 
 
 class TestSigmaMin:

@@ -10,7 +10,7 @@ from conftest import random_field, sinprod
 from etdac.diagnostics import record
 from etdac.grid import Field, Mesh2D, discrete_energy, max_norm
 from etdac.phi import phi_batch
-from etdac.scheme import make_scheme, tau_max
+from etdac.scheme import NODE_KINDS, Vandermonde, make_nodes, make_scheme, tau_max
 from etdac.spectral import SpectralPlan, apply_phi
 from etdac.stepper import (
     BoundExceeded,
@@ -161,14 +161,14 @@ EXACT_CASES = {
 }
 
 
-def _flat_columns(rng, frac):
-    """(10, 108) flat columns of degree 1..9, zero-padded: c_0 of either sign
-    at, above or below kb = 1.3, and a tail sum_{m>=1} |c_m| of exactly
-    frac * _FLAT_TOL |c_0| before rounding, its signs all those of c_0
-    (max |P| is then the l1 sum, the bound's tightest case), alternating,
-    or random."""
+def _flat_columns(rng, frac, tol=stepper._FLAT_TOL, degrees=range(1, 10)):
+    """(10, 12 * len(degrees)) flat columns of the given degrees, zero-padded:
+    c_0 of either sign at, above or below kb = 1.3, and a tail
+    sum_{m>=1} |c_m| of exactly frac * tol |c_0| before rounding, its signs
+    all those of c_0 (max |P| is then the l1 sum, the bound's tightest
+    case), alternating, or random."""
     cols = []
-    for degree in range(1, 10):
+    for degree in degrees:
         for c0 in (2.5, -1.7, 1.3, -1.3 * (1 - 1e-13)):
             for signs in ("same", "alternating", "random"):
                 w = rng.uniform(0.1, 1.0, degree)
@@ -177,9 +177,19 @@ def _flat_columns(rng, frac):
                         "random": rng.choice([-1.0, 1.0], degree)}[signs]
                 col = np.zeros(10)
                 col[0] = c0
-                col[1 : degree + 1] = sign * w / w.sum() * frac * stepper._FLAT_TOL * abs(c0)
+                col[1 : degree + 1] = sign * w / w.sum() * frac * tol * abs(c0)
                 cols.append(col)
     return np.array(cols).T
+
+
+# (degrees, tol, frac): _FLAT_TOL at degrees 1..9 with tails of frac times
+# it, then each level whose solve's roundoff raises step's flat tolerance
+# above _FLAT_TOL, alone at its degree, with tails of 0.5 and 1 times that
+# tolerance, all above 1e-12
+FLAT_CASES = [pytest.param(range(1, 10), stepper._FLAT_TOL, frac, id=str(frac)) for frac in (1e-3, 0.5, 1.0)]
+FLAT_CASES += [pytest.param((d,), v.roundoff, frac, id=f"{kind}{d}-{frac}")
+               for kind in NODE_KINDS for d in range(6, 10)
+               if (v := Vandermonde(make_nodes(d, kind))).roundoff > stepper._FLAT_TOL for frac in (0.5, 1.0)]
 
 
 def _exact_alpha(col, kb):
@@ -284,26 +294,25 @@ class TestRescaleFactor:
         with pytest.raises(ValueError, match="finite and positive"):
             rescale_factor(self.mesh, poly, bad)
 
-    @pytest.mark.parametrize("frac", [1e-3, 0.5, 1.0])
-    def test_flat_factor_is_within_flat_tol_of_the_exact_one(self, monkeypatch, frac):
-        poly, kb = _flat_columns(np.random.default_rng(21), frac), 1.3
+    @pytest.mark.parametrize("degrees, tol, frac", FLAT_CASES)
+    def test_flat_factor_is_within_flat_tol_of_the_exact_one(self, monkeypatch, degrees, tol, frac):
+        poly, kb = _flat_columns(np.random.default_rng(21), frac, tol, degrees), 1.3
         reached = []
         real = stepper._poly_abs_max_many
         monkeypatch.setattr(stepper, "_poly_abs_max_many", lambda c: reached.append(c.shape[1]) or real(c))
-        alpha = rescale_factor(Mesh2D(1.0, 1.0, 54, 2), poly, kb).values
+        alpha = rescale_factor(Mesh2D(1.0, 1.0, poly.shape[1] // 2, 2), poly, kb, tol).values
         if frac < 1.0:
             # below the tolerance every point is settled by the l1 sum
             assert reached == []
-        tol = stepper._FLAT_TOL
         for p in range(poly.shape[1]):
             exact = _exact_alpha(poly[:, p], kb)
             assert alpha[p] <= exact <= alpha[p] * (1.0 + 2.0 * tol)
 
-    @pytest.mark.parametrize("frac", [1e-3, 0.5])
-    def test_flat_factor_keeps_the_bound_against_the_oracle(self, frac):
+    @pytest.mark.parametrize("degrees, tol, frac", [case for case in FLAT_CASES if case.values[2] < 1.0])
+    def test_flat_factor_keeps_the_bound_against_the_oracle(self, degrees, tol, frac):
         # every point is flat here, so each a comes from its l1 sum
-        poly, kb = _flat_columns(np.random.default_rng(22), frac), 1.3
-        alpha = rescale_factor(Mesh2D(1.0, 1.0, 54, 2), poly, kb).values
+        poly, kb = _flat_columns(np.random.default_rng(22), frac, tol, degrees), 1.3
+        alpha = rescale_factor(Mesh2D(1.0, 1.0, poly.shape[1] // 2, 2), poly, kb, tol).values
         for p in range(0, poly.shape[1], 2):
             assert exact_poly_max(alpha[p] * poly[:, p]) <= kb
 
@@ -511,7 +520,9 @@ def replicate_cascade(ctx, u):
     n0 = Field(mesh, ctx.nonlinearity(u.values))
 
     def state_of(coeffs):
-        alpha = rescale(n0, coeffs, ctx.kappa_beta) if ctx.rescaled else ones_field(mesh)
+        # the flat tolerance step gives the level: at least its solve's roundoff
+        tol = max(stepper._FLAT_TOL, ctx.spec.systems[len(coeffs) - 1].roundoff if coeffs else 0.0)
+        alpha = rescale_factor(mesh, stacked(n0, coeffs), ctx.kappa_beta, tol) if ctx.rescaled else ones_field(mesh)
         return make_state(n0, coeffs, alpha)
 
     state = state_of([])
@@ -559,13 +570,27 @@ class TestStep:
         assert np.max(np.abs(u1.values - want)) < 1e-13
         assert alpha_min == 1.0
 
-    def test_step_equals_final_stage_of_the_cascade(self, mesh32, gl):
+    def test_step_equals_final_stage_of_the_cascade(self, monkeypatch, mesh32, gl, fh):
         for rescaled in (False, True):
             ctx = make_ctx(mesh32, gl, 3, 0.05, rescaled=rescaled)
             u = sinprod(mesh32, 0.5)
             u1, _ = step(ctx, u)
             replayed, _ = replicate_cascade(ctx, u)
             assert np.array_equal(u1.values, replayed.values)
+        # order 7 at tau = 1: by the eleventh step the top level settles
+        # points whose tails lie between 1e-12 and its solve's roundoff, 2.7e-12
+        ctx = make_ctx(mesh32, fh, 7, 1.0, rescaled=True)
+        u = random_field(mesh32, 0, -fh.beta + 1e-12, fh.beta - 1e-12)
+        for n in range(1, 11):
+            u, _ = step(ctx, u, n=n)
+        u1, _ = step(ctx, u, n=11)
+        replayed, _ = replicate_cascade(ctx, u)
+        assert np.array_equal(u1.values, replayed.values)
+        # a top level flat-tested at 1e-12 or at either neighbouring level's
+        # bound (4.0e-13, 1.9e-11) moves the step
+        for wrong in (stepper._FLAT_TOL, ctx.spec.systems[4].roundoff, Vandermonde(make_nodes(7)).roundoff):
+            monkeypatch.setattr(ctx.spec.systems[5], "roundoff", wrong)
+            assert not np.array_equal(step(ctx, u, n=11)[0].values, replayed.values)
 
     def test_rejects_non_finite_input(self, mesh8, gl):
         ctx = make_ctx(mesh8, gl, 2, 0.1)
