@@ -79,7 +79,7 @@ class StepContext:
 
     The stage times a_{j,k} tau are step-invariant, so each grid
     phi_j(s lambda), times its stage-formula scalar, is computed once per
-    (j, s) and reused across steps.  The first step also allocates the
+    (j, s), kept in one block per s, and reused.  The first step allocates the
     context's workspace, every field-sized array a step writes, so a
     context serves one step at a time.
     """
@@ -99,26 +99,41 @@ class StepContext:
         self.tau = float(tau)
         self.rescaled = bool(rescaled)
         self.kappa_beta = plan.kappa * potential.beta
-        self._phi_grids: dict[tuple[int, float], np.ndarray] = {}
+        self._phi_blocks: dict[float, np.ndarray] = {}
         self._workspace = None
 
     def phi_grid(self, j: int, s: float) -> np.ndarray:
-        """c * phi_j(s * eigvals) as a (ny, nx) array, memoized on (j, s).
+        """c * phi_j(s * eigvals) as a (ny, nx) view into s's block (phi_stack)."""
+        return self.phi_stack(s, j + 1)[j]
+
+    def phi_stack(self, s: float, rows: int) -> np.ndarray:
+        """The grids c * phi_j(s * eigvals), j < rows, as a (rows, ny, nx)
+        view of s's block, the cache's contiguous phi_0..phi_jmax at s.
 
         c is the scalar of phi_j in the stage formula: 1 for j = 0, s for
         j = 1 and tau (j-1)! (s/tau)^j for j >= 2.  Both act elementwise,
         so tabulating on plan.values and gathering by plan.index is exact.
+        The first request for s sizes its block for every j that phi_keys
+        gives for s, so no step grows it; a request past it grows it.
         """
-        key = (j, float(s))
-        grid = self._phi_grids.get(key)
-        if grid is None:
-            table = phi_batch(j, s * self.plan.values)
-            if j == 1:
-                table *= s
-            elif j > 1:
-                table *= self.tau * math.factorial(j - 1) * (s / self.tau) ** j
-            grid = self._phi_grids[key] = table[self.plan.index]
-        return grid
+        s = float(s)
+        block = self._phi_blocks.get(s)
+        have = 0 if block is None else len(block)
+        if have < rows:
+            size = max([rows] + [j + 1 for j, t in phi_keys(self.spec, self.tau) if t == s])
+            grown = np.empty((size, *self.plan.index.shape))
+            if have:
+                grown[:have] = block
+            for j in range(have, size):
+                table = phi_batch(j, s * self.plan.values)
+                if j == 1:
+                    table *= s
+                elif j > 1:
+                    table *= self.tau * math.factorial(j - 1) * (s / self.tau) ** j
+                # the index is in range; mode "raise" would gather through a temporary
+                np.take(table, self.plan.index, out=grown[j], mode="clip")
+            block = self._phi_blocks[s] = grown
+        return block[:rows]
 
     @property
     def workspace(self) -> "Workspace":
@@ -142,25 +157,26 @@ class StepContext:
 class Workspace:
     """The field-sized arrays of a step, 3r + 3 fields at order r.
 
-    u_hat and n0_hat are the spectra of u_n and N(u_n); acc sums a stage's
-    spectra and tmp holds each product.  poly[:j+1] is level j's
-    polynomial, row 0 N(u_n) at every level, and hats[:j+1] its spectra.
-    The solve of level j takes hats[1:j+1], dead once the level's stages
-    are summed, and scratch[:j] as its two scratch arrays.  Every array is
-    written in each step before it is read, so a step that raised leaves
-    nothing the next one sees.
+    spectra[0] is u_n's spectrum and spectra[1:j+2] level j's, so that a
+    stage sums the one slice spectra[:j+1] against a phi block in acc.
+    poly[:j+1] is level j's polynomial, row 0 N(u_n) at every level, and
+    n0_hat N(u_n)'s spectrum, copied to spectra[1] where alpha is one.  The
+    solve of level j takes spectra[2:j+2], dead once the level's stages are
+    summed, and scratch[:j] as its two scratch arrays; tmp is the
+    nonlinearity's.  Every array is written in each step before it is read,
+    so a step that raised leaves nothing the next one sees.
     """
 
     def __init__(self, mesh: Mesh2D, order: int):
-        self.u_hat, self.n0_hat, self.acc, self.tmp = np.empty((4, mesh.ny, mesh.nx))
+        self.n0_hat, self.acc, self.tmp = np.empty((3, mesh.ny, mesh.nx))
+        self.spectra = np.empty((order + 1, mesh.ny, mesh.nx))
         self.poly = np.empty((order, mesh.ncells))
-        self.hats = np.empty((order, mesh.ny, mesh.nx))
         self.scratch = np.empty((order - 1, mesh.ncells))
 
 
 def phi_keys(spec: SchemeSpec, tau: float) -> set[tuple[int, float]]:
-    """The (j, s) keys a step of spec at tau asks phi_grid for: one cached
-    grid each, known before any plan or field exists.
+    """The (j, s) grids a step of spec at tau reads from the phi cache: one
+    cached row each, known before any plan or field exists.
 
     A level-j stage at s reads phi_0..phi_j, and the final stage at
     s = tau reads phi_0..phi_r; s is computed as step computes it.
@@ -179,34 +195,42 @@ def _dct(grid: np.ndarray) -> np.ndarray:
     return scipy.fft.dctn(grid, type=2, norm="ortho", overwrite_x=True)
 
 
-def _spectra(poly: np.ndarray, alpha: Field, out: np.ndarray, hat0=None) -> tuple[list, float]:
-    """(hats, alpha_min): the spectra of alpha * poly's rows, computed in
-    out, a (len(poly), ny, nx) array, and alpha's minimum.
+def _spectra(poly: np.ndarray, alpha: Field, out: np.ndarray, hat0=None, held: bool = False) -> float:
+    """alpha's minimum, with the spectra of alpha * poly's rows computed in
+    out, a (len(poly), ny, nx) array.
 
     poly is a level's (level+1, ncells) polynomial: row 0 the unscaled
     N(u_n), row m the coefficient c_m of (s/tau)^m.  alpha is the
     pointwise factor, None for one at every point.  Where alpha_min is
     one, 1.0 * poly is poly, so the rows go unscaled, and hat0, when
-    given, is called for row 0's transform, which the caller has.
+    given, returns row 0's spectrum, which the caller has: it is copied to
+    out[0] unless held says that out[0] holds it already.
     """
     alpha_min = 1.0 if alpha is None else float(alpha.values.min())
-    flat = out.reshape(len(poly), -1)
+    flat, first = out.reshape(len(poly), -1), 0
     if alpha_min != 1.0:
         np.multiply(alpha.values, poly, out=flat)
-        hat0 = None
+    elif hat0 is None:
+        flat[...] = poly
     else:
-        first = 0 if hat0 is None else 1
-        flat[first:] = poly[first:]
-    return [_dct(out[0]) if hat0 is None else hat0()] + [_dct(row) for row in out[1:]], alpha_min
+        first = 1
+        if not held:
+            out[0] = hat0()
+        flat[1:] = poly[1:]
+    for row in out[first:]:
+        _dct(row)
+    return alpha_min
 
 
-def _stage_values(ctx: StepContext, s: float, u_hat: np.ndarray, hats: list,
-                  acc: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """w_level(s) as flat values, level = len(hats), from the level's
-    spectra: summed in acc with each product in tmp, then transformed in acc."""
-    np.multiply(ctx.phi_grid(0, s), u_hat, out=acc)
-    for m, hat in enumerate(hats):
-        acc += np.multiply(ctx.phi_grid(m + 1, s), hat, out=tmp)
+def _stage_values(ctx: StepContext, s: float, spectra: np.ndarray, acc: np.ndarray) -> np.ndarray:
+    """w_level(s) as flat values, level = len(spectra) - 1, from the spectra
+    of u_n and of the level's polynomial: sum_m phi_stack[m] * spectra[m],
+    in one pass in acc, then transformed in acc.  einsum's unoptimized sum
+    adds the terms in order of m, as a multiply-add loop would: bit for bit,
+    up to the sign of an exact zero, where numpy's einsum does not fuse a
+    multiply-add (x86-64 builds below an FMA3 baseline); NEON and
+    FMA3-baseline builds round each term's product and sum once."""
+    np.einsum("mij,mij->ij", ctx.phi_stack(s, len(spectra)), spectra, out=acc)
     vals = scipy.fft.idctn(acc, type=2, norm="ortho", overwrite_x=True)
     return vals.reshape(ctx.plan.mesh.ncells)
 
@@ -220,9 +244,10 @@ def evaluate_stage(ctx: StepContext, s: float, u_n: Field, poly: np.ndarray, alp
         raise ValueError("field mesh does not match the plan's mesh")
     if poly.ndim != 2 or poly.shape[1] != u_n.mesh.ncells:
         raise ValueError(f"poly must have one column per cell, {u_n.mesh.ncells}, got shape {poly.shape}")
-    hats, _ = _spectra(poly, alpha, np.empty((len(poly), u_n.mesh.ny, u_n.mesh.nx)))
-    acc, tmp = np.empty((2, u_n.mesh.ny, u_n.mesh.nx))
-    return Field(u_n.mesh, _stage_values(ctx, s, _dct(u_n.grid().copy()), hats, acc, tmp))
+    spectra = np.empty((len(poly) + 1, u_n.mesh.ny, u_n.mesh.nx))
+    spectra[0] = _dct(u_n.grid().copy())
+    _spectra(poly, alpha, spectra[1:])
+    return Field(u_n.mesh, _stage_values(ctx, s, spectra, np.empty((u_n.mesh.ny, u_n.mesh.nx))))
 
 
 def _all_finite(values: np.ndarray) -> bool:
@@ -263,10 +288,10 @@ def step(ctx: StepContext, u_n: Field, *, n: int = 1) -> tuple[Field, float]:
         ws.n0_hat.reshape(mesh.ncells)[...] = n0
         return _dct(ws.n0_hat)
 
-    ws.u_hat.reshape(mesh.ncells)[...] = u_n.values
-    u_hat = _dct(ws.u_hat)
+    ws.spectra[0].reshape(mesh.ncells)[...] = u_n.values
+    _dct(ws.spectra[0])
 
-    alpha_min, flat_tol = 1.0, _FLAT_TOL
+    alpha_min, flat_tol, level_min = 1.0, _FLAT_TOL, None
     for j in range(ctx.spec.order):
         poly = ws.poly[: j + 1]
         if j:
@@ -274,7 +299,7 @@ def step(ctx: StepContext, u_n: Field, *, n: int = 1) -> tuple[Field, float]:
             # the flat test's tolerance: at least the rounding the solve leaves in c
             flat_tol = max(_FLAT_TOL, system.roundoff)
             for k in range(1, j + 1):
-                w = _stage_values(ctx, system.nodes[k] * ctx.tau, u_hat, hats, ws.acc, ws.tmp)
+                w = _stage_values(ctx, system.nodes[k] * ctx.tau, ws.spectra[: j + 1], ws.acc)
                 if not _all_finite(w):
                     raise NumericalBlowup(j, k, n)
                 try:
@@ -282,14 +307,16 @@ def step(ctx: StepContext, u_n: Field, *, n: int = 1) -> tuple[Field, float]:
                 except ValueError as exc:
                     raise BoundExceeded(j, k, n) from exc
                 poly[k] -= n0
-            scratch = (ws.hats[1 : j + 1].reshape(j, mesh.ncells), ws.scratch[:j])
-            system.solve(poly[1:], out=poly[1:], scratch=scratch)
-        # unbound, so that no level's alpha outlives its spectra
-        hats, level_min = _spectra(poly, rescale_factor(mesh, poly, ctx.kappa_beta, flat_tol) if ctx.rescaled
-                                   else None, ws.hats[: j + 1], n0_hat)
+            if j > 1:  # V_1 = [a_1] = [1], so level 1 takes c_1 = d_1 as it stands
+                scratch = (ws.spectra[2 : j + 2].reshape(j, mesh.ncells), ws.scratch[:j])
+                system.solve(poly[1:], out=poly[1:], scratch=scratch)
+        # alpha unbound, so that no level's outlives its spectra; spectra[1]
+        # still holds N(u_n)'s spectrum after a level where alpha was one
+        level_min = _spectra(poly, rescale_factor(mesh, poly, ctx.kappa_beta, flat_tol) if ctx.rescaled
+                             else None, ws.spectra[1 : j + 2], n0_hat, level_min == 1.0)
         alpha_min = min(alpha_min, level_min)
 
-    out = _stage_values(ctx, ctx.tau, u_hat, hats, np.empty((mesh.ny, mesh.nx)), ws.tmp)
+    out = _stage_values(ctx, ctx.tau, ws.spectra, np.empty((mesh.ny, mesh.nx)))
     if not _all_finite(out):
         raise NumericalBlowup(ctx.spec.order, ctx.spec.order, n)
     return Field(mesh, out), alpha_min

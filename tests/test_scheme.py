@@ -139,6 +139,12 @@ class TestVandermonde:
         assert got is b
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("kind", NODE_KINDS)
+    def test_level_one_system_is_the_identity(self, kind):
+        # V_1 = [a_1] = [1], which is why step takes c_1 = d_1 without a solve
+        for order in range(2, 11):
+            assert make_scheme(order, kind).systems[0].matrix.tolist() == [[1.0]]
+
     def test_polynomial_coefficients_recovered(self):
         # d_k = P(a_k) for P with zero constant term recovers P's coefficients
         ns = make_nodes(4)

@@ -26,6 +26,15 @@ from etdac.stepper import (
 from oracles import DenseOperator, brute_poly_max, dense_etdrk_step, duhamel_stage, exact_poly_max
 
 
+def _einsum_fuses() -> bool:
+    """Whether this numpy's einsum fuses its multiply-adds, as NEON and
+    FMA3-baseline builds do: -1 + (1 + 2^-30)(1 - 2^-30) is -2^-60 fused,
+    and 0 unfused, where the product rounds to 1."""
+    p = np.array([1.0, 1.0 + 2.0**-30])[:, None, None] * np.ones((2, 16, 16))
+    h = np.array([-1.0, 1.0 - 2.0**-30])[:, None, None] * np.ones((2, 16, 16))
+    return bool(np.einsum("mij,mij->ij", p, h).any())
+
+
 def make_ctx(mesh, potential, order, tau, rescaled=False, eps=0.1, kappa=None):
     kappa = potential.kappa_min if kappa is None else kappa
     plan = SpectralPlan(mesh, eps, kappa)
@@ -446,25 +455,61 @@ class TestStepContext:
     def test_phi_grids_are_memoized(self, mesh8, gl):
         # each grid is cached already multiplied by its stage-formula scalar,
         # bit for bit phi_batch on every cell of the eigenvalue grid, on a
-        # square mesh and on one whose eigenvalues are not symmetric
+        # square mesh and on one whose eigenvalues are not symmetric; a
+        # repeated request returns the same memory, a row of its s's block
         tau = 0.1
         for mesh in (mesh8, Mesh2D(2 * np.pi, np.pi, 12, 8)):
             ctx = make_ctx(mesh, gl, 5, tau)
             for j, s in phi_keys(ctx.spec, tau) | {(j, 0.05) for j in range(5)}:
                 c = 1.0 if j == 0 else s if j == 1 else tau * math.factorial(j - 1) * (s / tau) ** j
-                assert ctx.phi_grid(j, s) is ctx.phi_grid(j, s)
-                assert np.array_equal(ctx.phi_grid(j, s), c * phi_batch(j, s * ctx.plan.eigvals))
+                grid, again = ctx.phi_grid(j, s), ctx.phi_grid(j, s)
+                assert grid.ctypes.data == again.ctypes.data and grid.shape == again.shape == (mesh.ny, mesh.nx)
+                assert grid.base is ctx._phi_blocks[s] and np.shares_memory(grid, ctx.phi_stack(s, j + 1)[j])
+                assert np.array_equal(grid, c * phi_batch(j, s * ctx.plan.eigvals))
 
     @pytest.mark.parametrize("kind", ["uniform", "chebyshev"])
     @pytest.mark.parametrize("order", range(1, 8))
-    def test_phi_keys_are_the_grids_a_step_caches(self, mesh8, gl, order, kind):
-        # the CLI sizes the cache from phi_keys before the first step
+    def test_phi_keys_are_the_grids_a_step_caches(self, monkeypatch, mesh8, gl, order, kind):
+        # the CLI sizes the cache from phi_keys before the first step: the
+        # blocks hold exactly those rows, each tabulated once, and later
+        # steps neither grow a block nor tabulate again
+        calls = []
+        monkeypatch.setattr(stepper, "phi_batch", lambda j, z: calls.append(j) or phi_batch(j, z))
         plan = SpectralPlan(mesh8, 0.1, 2.0)
         ctx = StepContext(plan, gl, make_scheme(order, kind), 0.3)
         keys = phi_keys(ctx.spec, 0.3)
-        step(ctx, sinprod(mesh8), n=1)
-        assert keys == set(ctx._phi_grids)
-        assert len(keys) == {3: 7, 5: 29, 7: 77}.get(order, len(keys))
+        u, _ = step(ctx, sinprod(mesh8), n=1)
+        blocks = dict(ctx._phi_blocks)
+        assert keys == {(j, s) for s, block in blocks.items() for j in range(len(block))}
+        assert len(keys) == {3: 7, 5: 29, 7: 77}.get(order, len(keys)) == len(calls)
+        step(ctx, u, n=2)
+        assert all(ctx._phi_blocks[s] is block for s, block in blocks.items()) and len(ctx._phi_blocks) == len(blocks)
+        assert len(calls) == len(keys)
+
+    @pytest.mark.parametrize("shape", [(16, 16), (8, 12)])
+    def test_stage_sum_is_the_multiply_add_loop(self, gl, shape):
+        # the one-pass sum adds its terms in the loop's order: bit for bit,
+        # up to the sign of an exact zero, where einsum does not fuse its
+        # multiply-adds, and within the sum's rounding where it does
+        mesh = Mesh2D(2 * np.pi, 3.0, shape[1], shape[0])
+        ctx = make_ctx(mesh, gl, 9, 0.2)
+        rng = np.random.default_rng(shape[1])
+        for terms in range(2, 10):
+            for s in (0.2, float(rng.uniform(0.01, 0.2))):
+                spectra = rng.standard_normal((terms, *shape)) * 10.0 ** rng.integers(-6, 6, (terms, 1, 1))
+                want, tmp = np.empty((2, *shape))
+                np.multiply(ctx.phi_grid(0, s), spectra[0], out=want)
+                for m in range(1, terms):
+                    want += np.multiply(ctx.phi_grid(m, s), spectra[m], out=tmp)
+                got = stepper._stage_values(ctx, s, spectra, np.empty(shape))
+                want = scipy.fft.idctn(want, type=2, norm="ortho").ravel()
+                if not _einsum_fuses():
+                    assert np.array_equal(got, want)
+                else:
+                    # the orthonormal transform keeps the l2 norm, so the sum's
+                    # l1 rounding bound bounds every value's difference
+                    terms_l1 = np.abs(ctx.phi_stack(s, terms) * spectra).sum()
+                    assert np.abs(got - want).max() <= 4 * terms * np.finfo(float).eps * terms_l1
 
 
 class TestEvaluateStage:
@@ -591,6 +636,15 @@ class TestStep:
         for wrong in (stepper._FLAT_TOL, ctx.spec.systems[4].roundoff, Vandermonde(make_nodes(7)).roundoff):
             monkeypatch.setattr(ctx.spec.systems[5], "roundoff", wrong)
             assert not np.array_equal(step(ctx, u, n=11)[0].values, replayed.values)
+
+    @pytest.mark.parametrize("rescaled", [False, True])
+    def test_level_one_takes_its_data_without_a_solve(self, monkeypatch, mesh8, gl, rescaled):
+        # V_1 = [1], so c_1 = d_1: a level-1 system whose inverse is NaN leaves the step unchanged
+        u = sinprod(mesh8, 0.6)
+        want, _ = step(make_ctx(mesh8, gl, 3, 0.1, rescaled=rescaled), u)
+        ctx = make_ctx(mesh8, gl, 3, 0.1, rescaled=rescaled)
+        monkeypatch.setattr(ctx.spec.systems[0], "_inv", np.full((1, 1), np.nan))
+        assert np.array_equal(step(ctx, u)[0].values, want.values)
 
     def test_rejects_non_finite_input(self, mesh8, gl):
         ctx = make_ctx(mesh8, gl, 2, 0.1)
