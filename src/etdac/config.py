@@ -26,6 +26,8 @@ __all__ = ["ConfigError", "default_config", "load_config", "resolve_config", "va
            "build_potential", "build_mesh", "build_plan", "initial_field"]
 
 RANDOM_MARGIN = 1e-12
+# flags that set the config key of their own name
+PLAIN_FLAGS = ("order", "rescaled", "tau", "t_end", "eps", "kappa", "nodes", "out")
 
 
 class ConfigError(ValueError):
@@ -73,41 +75,24 @@ def resolve_config(args) -> dict:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         for key, val in file_cfg.items():
-            if key in ("potential", "init") and isinstance(val, dict):
-                cfg[key] = dict(val)
-            else:
-                cfg[key] = val
+            cfg[key] = dict(val) if key in ("potential", "init") and isinstance(val, dict) else val
 
-    if getattr(args, "order", None) is not None:
-        cfg["order"] = args.order
-    if getattr(args, "rescaled", None) is not None:
-        cfg["rescaled"] = args.rescaled
-    if getattr(args, "tau", None) is not None:
-        cfg["tau"] = args.tau
-    if getattr(args, "t_end", None) is not None:
-        cfg["t_end"] = args.t_end
+    for key in PLAIN_FLAGS:
+        if getattr(args, key, None) is not None:
+            cfg[key] = getattr(args, key)
     if getattr(args, "grid", None) is not None:
         cfg["nx"] = cfg["ny"] = args.grid
-    if getattr(args, "eps", None) is not None:
-        cfg["eps"] = args.eps
     if getattr(args, "potential", None) is not None:
         cfg["potential"] = {"kind": args.potential}
-    if getattr(args, "theta", None) is not None:
-        cfg["potential"]["theta"] = args.theta
-    if getattr(args, "theta_c", None) is not None:
-        cfg["potential"]["theta_c"] = args.theta_c
-    if getattr(args, "kappa", None) is not None:
-        cfg["kappa"] = args.kappa
-    if getattr(args, "nodes", None) is not None:
-        cfg["nodes"] = args.nodes
+    for key in ("theta", "theta_c"):
+        if getattr(args, key, None) is not None:
+            cfg["potential"][key] = getattr(args, key)
     if getattr(args, "seed", None) is not None:
         init = dict(cfg["init"])
         if init.get("kind") != "random":
             init = {"kind": "random", "amplitude": 1.0}
         init["seed"] = args.seed
         cfg["init"] = init
-    if getattr(args, "out", None) is not None:
-        cfg["out"] = args.out
     if getattr(args, "paper_scale", False):
         cfg["nx"] = cfg["ny"] = 512
 

@@ -57,15 +57,13 @@ def record(ctx, n: int, u: Field, prev_energy: float = None, *, alpha_min: float
     """Measure one state; prev_energy=None marks a state with no predecessor."""
     if t is None:
         t = n * ctx.tau
-    mn = max_norm(u)
+    # the energy's differences go through ctx's acc row; its reshape raises unless u has ctx's cells
+    mn, row = max_norm(u), ctx.workspace.acc.reshape(u.mesh.ncells)
     try:
-        energy = discrete_energy(u, ctx.plan.eps, ctx.potential)
+        energy = discrete_energy(u, ctx.plan.eps, ctx.potential, row)
     except ValueError:
         energy = float("inf")
-    if prev_energy is None:
-        dissipation_ok = True
-    else:
-        dissipation_ok = energy <= prev_energy + DISSIPATION_RTOL * (1.0 + abs(prev_energy))
+    dissipation_ok = prev_energy is None or energy <= prev_energy + DISSIPATION_RTOL * (1.0 + abs(prev_energy))
     mbp_ok = mn <= ctx.potential.beta + MBP_TOL
     return StepDiagnostics(n, float(t), float(energy), mn, float(alpha_min), bool(dissipation_ok), bool(mbp_ok))
 

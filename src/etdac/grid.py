@@ -77,8 +77,9 @@ class Field:
 
 
 def max_norm(u: Field) -> float:
-    """Discrete maximum norm, max over cells of |u|."""
-    return float(np.max(np.abs(u.values)))
+    """Discrete maximum norm, max over cells of |u|, from u's extremes
+    without a |u| array: NaN where u has one, and +0.0 for a zero field."""
+    return float(max(u.values.max(), -u.values.min())) + 0.0
 
 
 def l2_norm(u: Field) -> float:
@@ -86,22 +87,26 @@ def l2_norm(u: Field) -> float:
     return float(np.sqrt(u.mesh.hx * u.mesh.hy * np.sum(u.values * u.values)))
 
 
-def discrete_energy(u: Field, eps: float, potential) -> float:
+def discrete_energy(u: Field, eps: float, potential, scratch: np.ndarray = None) -> float:
     """Discrete free energy hx*hy*[ (eps^2/2) sum of squared interior
     face-difference quotients + sum of F(u) over cells ].
 
     Boundary faces carry zero flux, matching the Neumann Laplacian stencil
     through summation by parts, so discrete dissipation statements are
     self-consistent.  Raises the potential's domain error when F is
-    undefined (logarithmic potential with |u| >= 1).
+    undefined (logarithmic potential with |u| >= 1).  scratch, a flat
+    (ncells,) array other than u's, takes each squared difference field.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     mesh = u.mesh
     g = u.grid()
-    dx = (g[:, 1:] - g[:, :-1]) / mesh.hx
-    dy = (g[1:, :] - g[:-1, :]) / mesh.hy
-    grad2 = np.sum(dx * dx) + np.sum(dy * dy)
+    scratch = np.empty(mesh.ncells) if scratch is None else scratch
+    grad2 = 0.0
+    for hi, lo, h in ((g[:, 1:], g[:, :-1], mesh.hx), (g[1:, :], g[:-1, :], mesh.hy)):
+        d = np.subtract(hi, lo, out=scratch[: hi.size].reshape(hi.shape))
+        d /= h
+        grad2 += np.sum(np.multiply(d, d, out=d))
     bulk = np.sum(potential.F(g))
     return mesh.hx * mesh.hy * float(0.5 * eps * eps * grad2 + bulk)
 

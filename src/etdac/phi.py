@@ -30,10 +30,11 @@ from math import factorial
 
 import numpy as np
 
-__all__ = ["phi", "phi_batch", "SMALL_ARG_THRESHOLD", "TAYLOR_TERMS"]
+__all__ = ["phi", "phi_batch", "SMALL_ARG_THRESHOLD", "TAYLOR_TERMS", "SLICE"]
 
 SMALL_ARG_THRESHOLD = 0.5
 TAYLOR_TERMS = 30
+SLICE = 16384
 
 
 def _kahan_add(s, c, term):
@@ -47,8 +48,7 @@ def _kahan_add(s, c, term):
 def _phi_taylor(j, z):
     """sum_{k=0}^{TAYLOR_TERMS} z^k / (k+j)! for the small-argument branch."""
     term = np.full_like(z, 1.0 / factorial(j))
-    s = term.copy()
-    c = np.zeros_like(z)
+    s, c = term.copy(), np.zeros_like(z)
     for k in range(1, TAYLOR_TERMS + 1):
         term = term * z / (k + j)
         s, c = _kahan_add(s, c, term)
@@ -63,8 +63,7 @@ def _neg_pow(x, k):
 
 def _phi_forward(j, z):
     """(e^z - sum_{k<j} z^k/k!) / z^j for the intermediate range."""
-    s = np.zeros_like(z)
-    c = np.zeros_like(z)
+    s, c = np.zeros_like(z), np.zeros_like(z)
     for k in range(j):
         # z^k by pow on the positive base |z| (numpy's vector path) and exact
         # integer k! keep each term near 1 ulp
@@ -75,9 +74,7 @@ def _phi_forward(j, z):
 def _phi_reciprocal(j, z):
     """e^z z^-j - sum_{m=1..j} z^-m/(j-m)! for |z| >= 2(j+1)."""
     w = 1.0 / z
-    s = np.zeros_like(z)
-    c = np.zeros_like(z)
-    p = np.ones_like(z)
+    s, c, p = np.zeros_like(z), np.zeros_like(z), np.ones_like(z)
     for m in range(1, j + 1):
         p = p * w
         s, c = _kahan_add(s, c, p / factorial(j - m))
@@ -121,7 +118,11 @@ def phi(j: int, z: float) -> float:
 
 def phi_batch(j: int, zs) -> np.ndarray:
     """Elementwise phi over an array of nonpositive arguments; identical to
-    scalar calls bit-for-bit."""
+    scalar calls bit-for-bit.  The kernel runs on slices of SLICE values,
+    so its temporaries stay small whatever the array's size."""
     zs = np.asarray(zs, dtype=np.float64)
     _check_args(j, zs)
-    return _phi_core(j, zs.ravel()).reshape(zs.shape)
+    flat, out = zs.ravel(), np.empty(zs.size)
+    for start in range(0, flat.size, SLICE):
+        out[start : start + SLICE] = _phi_core(j, flat[start : start + SLICE])
+    return out.reshape(zs.shape)

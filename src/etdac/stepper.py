@@ -163,8 +163,9 @@ class Workspace:
     n0_hat N(u_n)'s spectrum, copied to spectra[1] where alpha is one.  The
     solve of level j takes spectra[2:j+2], dead once the level's stages are
     summed, and scratch[:j] as its two scratch arrays; tmp is the
-    nonlinearity's.  Every array is written in each step before it is read,
-    so a step that raised leaves nothing the next one sees.
+    nonlinearity's, and acc and tmp rescale_factor's.  Every array is
+    written in each step before it is read, so a step that raised leaves
+    nothing the next one sees.
     """
 
     def __init__(self, mesh: Mesh2D, order: int):
@@ -276,7 +277,7 @@ def step(ctx: StepContext, u_n: Field, *, n: int = 1) -> tuple[Field, float]:
         raise ValueError("rescaled stepping requires max_norm(u_n) <= beta")
 
     ws = ctx.workspace
-    n0 = ws.poly[0]
+    n0, rows = ws.poly[0], (ws.acc.reshape(mesh.ncells), ws.tmp.reshape(mesh.ncells))
     try:
         ctx.nonlinearity(u_n.values, out=n0)
     except ValueError as exc:
@@ -310,9 +311,9 @@ def step(ctx: StepContext, u_n: Field, *, n: int = 1) -> tuple[Field, float]:
             if j > 1:  # V_1 = [a_1] = [1], so level 1 takes c_1 = d_1 as it stands
                 scratch = (ws.spectra[2 : j + 2].reshape(j, mesh.ncells), ws.scratch[:j])
                 system.solve(poly[1:], out=poly[1:], scratch=scratch)
-        # alpha unbound, so that no level's outlives its spectra; spectra[1]
-        # still holds N(u_n)'s spectrum after a level where alpha was one
-        level_min = _spectra(poly, rescale_factor(mesh, poly, ctx.kappa_beta, flat_tol) if ctx.rescaled
+        # alpha, in tmp, unbound; spectra[1] still holds N(u_n)'s spectrum
+        # after a level where alpha was one
+        level_min = _spectra(poly, rescale_factor(mesh, poly, ctx.kappa_beta, flat_tol, rows) if ctx.rescaled
                              else None, ws.spectra[1 : j + 2], n0_hat, level_min == 1.0)
         alpha_min = min(alpha_min, level_min)
 
@@ -322,7 +323,8 @@ def step(ctx: StepContext, u_n: Field, *, n: int = 1) -> tuple[Field, float]:
     return Field(mesh, out), alpha_min
 
 
-def rescale_factor(mesh: Mesh2D, poly: np.ndarray, kappa_beta: float, flat_tol: float = _FLAT_TOL) -> Field:
+def rescale_factor(mesh: Mesh2D, poly: np.ndarray, kappa_beta: float, flat_tol: float = _FLAT_TOL,
+                   scratch=None) -> Field:
     """Pointwise a = min(kappa_beta / max_{s in [0,1]} |P(x, s)|, 1).
 
     poly is (d+1, ncells) with P(x, s) = sum_m poly[m](x) s^m on the unit
@@ -339,26 +341,36 @@ def rescale_factor(mesh: Mesh2D, poly: np.ndarray, kappa_beta: float, flat_tol: 
     solve leaves in c: _FLAT_TOL = 1e-12 for uniform nodes up to d = 5 and
     Chebyshev up to d = 6, then 2.7e-12, 1.9e-11, 1.3e-10, 9.4e-10 (uniform,
     d = 6..9) and 4.9e-12, 2.5e-11, 1.3e-10 (Chebyshev, d = 7..9).
+    scratch, two flat (ncells,) arrays other than poly, takes the l1 sums
+    and a, so that the returned field's values are scratch[1].
     """
     if not 0.0 < kappa_beta < math.inf:
         raise ValueError("kappa_beta must be finite and positive")
     if poly.ndim != 2 or poly.shape[1] != mesh.ncells:
         raise ValueError(f"poly must have one column per cell, {mesh.ncells}, got shape {poly.shape}")
-    alpha = np.ones(mesh.ncells)
+    l1, alpha = np.empty((2, mesh.ncells)) if scratch is None else scratch
     # row by row, so each column's sum is the same in any batch and layout
-    l1 = functools.reduce(np.add, np.abs(poly))
-    if not np.all(np.isfinite(l1)):
+    np.abs(poly[0], out=l1)
+    for row in poly[1:]:
+        l1 += np.abs(row, out=alpha)
+    if not _all_finite(l1):
         raise ValueError("polynomial coefficients must be finite")
-    suspicious = np.nonzero(l1 > kappa_beta)[0]
+    alpha.fill(1.0)
+    suspicious = np.flatnonzero(l1 > kappa_beta)
     if suspicious.size and poly.shape[0] > 1:
-        bern = np.abs(_bernstein_matrix(poly.shape[0] - 1) @ poly[:, suspicious])
-        suspicious = suspicious[bern.max(axis=0) > kappa_beta]
-        c0, top = np.abs(poly[0, suspicious]), l1[suspicious]
+        # Bernstein row 0 is e_0, so b_0 = c_0: |c_0| > kappa_beta needs no product
+        c0 = np.abs(poly[0].take(suspicious))
+        keep = c0 > kappa_beta
+        low = np.flatnonzero(~keep)
+        bern = _bernstein_matrix(poly.shape[0] - 1) @ poly.take(suspicious[low], axis=1)
+        keep[low] = np.abs(bern).max(axis=0) > kappa_beta
+        suspicious, c0 = suspicious[keep], c0[keep]
+        top = l1[suspicious]
         flat = top - c0 <= flat_tol * c0
         alpha[suspicious[flat]] = np.minimum(kappa_beta / (top[flat] * _HEADROOM), 1.0)
         suspicious = suspicious[~flat]
     if suspicious.size:
-        m, _ = _poly_abs_max_many(poly[:, suspicious])
+        m, _ = _poly_abs_max_many(poly[:, suspicious])  # Fortran-ordered: its P(1) sum's bits depend on it
         alpha[suspicious] = np.minimum(kappa_beta / np.maximum(m, 1e-300), 1.0)
     return Field(mesh, alpha)
 
@@ -396,8 +408,7 @@ def polynomial_abs_max(coeffs) -> tuple[float, float]:
 
 def _poly_abs_max_many(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Columnwise |P| maximum over [0, 1] for stacked coefficients (d+1, n)."""
-    d = c.shape[0] - 1
-    npts = c.shape[1]
+    d, npts = c.shape[0] - 1, c.shape[1]
     best = np.abs(c[0]).copy()
     arg = np.zeros(npts)
     v1 = np.abs(c.sum(axis=0))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -33,3 +35,19 @@ def sinprod(mesh, amplitude=0.5):
 def random_field(mesh, seed, lo=-1.0, hi=1.0):
     rng = np.random.default_rng(seed)
     return Field(mesh, rng.uniform(lo, hi, mesh.ncells))
+
+
+def traced_peak(fn):
+    """fn() and the peak bytes traced by tracemalloc while it ran, above
+    what was traced before, as numpy reports its arrays to tracemalloc."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()

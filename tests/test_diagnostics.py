@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import sinprod
+from conftest import random_field, sinprod, traced_peak
 from etdac.diagnostics import (
     DISSIPATION_RTOL,
     MBP_TOL,
@@ -74,6 +74,25 @@ class TestRecord:
     def test_alpha_min_passthrough(self, ctx, mesh8):
         d = record(ctx, 1, Field(mesh8, np.full(mesh8.ncells, 0.0)), alpha_min=0.37)
         assert d.alpha_min == 0.37
+
+    @pytest.mark.parametrize("n", [4, 16])
+    def test_a_field_with_other_cells_than_the_context_raises(self, ctx, n):
+        # the energy's scratch row is the context's; an inf energy would hide the mismatch
+        with pytest.raises(ValueError):
+            record(ctx, 0, Field(Mesh2D(2 * np.pi, 2 * np.pi, n, n), np.zeros(n * n)))
+
+    @pytest.mark.parametrize("potential, budget", [("gl", 3.05), ("fh", 4.05)])
+    def test_record_allocates_only_the_potential_s_temporaries(self, request, potential, budget):
+        # in fields of the mesh: the energy's difference fields go through the
+        # workspace, which the run's first step allocates; F makes 3 (gl) or 4 (fh)
+        pot = request.getfixturevalue(potential)
+        mesh = Mesh2D(2 * np.pi, 2 * np.pi, 128, 128)
+        ctx = StepContext(SpectralPlan(mesh, 0.1, pot.kappa_min), pot, make_scheme(3), 0.1)
+        u = random_field(mesh, 0, -0.9 * pot.beta, 0.9 * pot.beta)
+        assert ctx.workspace is not None
+        diag, peak = traced_peak(lambda: record(ctx, 1, u, 0.0))
+        assert math.isfinite(diag.energy)
+        assert peak <= budget * 8 * mesh.ncells
 
 
 class TestRunReport:

@@ -73,6 +73,22 @@ class TestNorms:
         vals[7] = 2.0
         assert max_norm(Field(mesh, vals)) == 2.0
 
+    @pytest.mark.parametrize("special", [[0.0, -0.0], [-0.0, -0.0], [np.nan, 1.0], [np.inf, -1.0],
+                                         [-np.inf, 2.0], [np.nan, -np.inf], [-3.0, 2.0]])
+    def test_max_norm_equals_the_max_of_abs(self, special):
+        mesh = Mesh2D(1.0, 1.0, 4, 4)
+        vals = np.random.default_rng(3).uniform(-0.5, 0.5, mesh.ncells)
+        for k, v in enumerate(special):
+            vals[3 + 5 * k] = v
+        for u in (vals, np.full(mesh.ncells, special[0])):
+            got, want = max_norm(Field(mesh, u)), float(np.max(np.abs(u)))
+            assert got == want or (math.isnan(got) and math.isnan(want))
+
+    def test_max_norm_of_a_negative_zero_field_is_positive_zero(self):
+        mesh = Mesh2D(1.0, 1.0, 4, 4)
+        got = max_norm(Field(mesh, np.full(mesh.ncells, -0.0)))
+        assert got == 0.0 and math.copysign(1.0, got) == 1.0
+
     def test_max_norm_of_sine_product_just_below_amplitude(self):
         # cell centers never hit the interior extremum of sin x sin y exactly
         mesh = Mesh2D(2 * np.pi, 2 * np.pi, 128, 128)
@@ -152,6 +168,19 @@ class TestDiscreteEnergy:
         u = random_field(mesh, 6)
         bulk = mesh.hx * mesh.hy * float(np.sum(gl.F(u.values)))
         assert discrete_energy(u, 0.5, gl) >= bulk
+
+    @pytest.mark.parametrize("nx, ny", [(5, 7), (112, 96)])
+    def test_scratch_gives_the_same_bits_as_whole_array_differences(self, gl, fh, nx, ny):
+        # the reference forms each difference field as its own array
+        mesh = Mesh2D(1.3, 2.1, nx, ny)
+        u = random_field(mesh, 4, -0.9, 0.9)
+        g = u.grid()
+        dx, dy = (g[:, 1:] - g[:, :-1]) / mesh.hx, (g[1:, :] - g[:-1, :]) / mesh.hy
+        for pot in (gl, fh):
+            want = mesh.hx * mesh.hy * float(0.5 * 0.2 * 0.2 * (np.sum(dx * dx) + np.sum(dy * dy))
+                                             + np.sum(pot.F(g)))
+            scratch = np.full(mesh.ncells, np.nan)
+            assert discrete_energy(u, 0.2, pot, scratch) == discrete_energy(u, 0.2, pot) == want
 
     def test_fh_domain_error_propagates(self, fh):
         mesh = Mesh2D(1.0, 1.0, 4, 4)

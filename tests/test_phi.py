@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from etdac.phi import SMALL_ARG_THRESHOLD, phi, phi_batch
+from etdac.phi import SLICE, SMALL_ARG_THRESHOLD, phi, phi_batch
 from etdac.phi import _phi_forward, _phi_reciprocal, _phi_taylor
 from oracles import phi_reference
 
@@ -145,6 +145,18 @@ class TestPhiBatch:
     def test_batch_preserves_shape(self):
         zs = -np.arange(6, dtype=float).reshape(2, 3)
         assert phi_batch(2, zs).shape == (2, 3)
+
+    @pytest.mark.parametrize("j", [0, 1, 4, 7])
+    def test_batch_over_several_slices_equals_scalar_bitwise(self, j):
+        # 257 arguments from every branch, tiled past two slices, so that
+        # each slice starts at another point of the pattern
+        base = -np.concatenate([[0.0], np.geomspace(1e-3, 1e4, 256)])
+        reps = 2 * SLICE // base.size + 2
+        zs = np.tile(base, reps).reshape(reps, base.size)
+        scalars = np.array([phi(j, float(z)) for z in base])
+        batch = phi_batch(j, zs)
+        assert batch.shape == zs.shape and zs.size > 2 * SLICE
+        assert np.array_equal(batch, np.tile(scalars, (reps, 1)))
 
 
 class TestPhiErrors:

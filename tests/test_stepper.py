@@ -1,12 +1,11 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.fft
 
 import etdac.stepper as stepper
-from conftest import random_field, sinprod
+from conftest import random_field, sinprod, traced_peak
 from etdac.diagnostics import record
 from etdac.grid import Field, Mesh2D, discrete_energy, max_norm
 from etdac.phi import phi_batch
@@ -362,6 +361,26 @@ class TestRescaleFactor:
             alone = rescale_factor(quad, np.repeat(poly[:, p : p + 1], 4, axis=1), kb).values
             assert np.all(alone == alpha[p])
 
+    def test_scratch_and_layout_leave_the_factor_unchanged_and_poly_unwritten(self):
+        rng = np.random.default_rng(25)
+        kb = 1.3
+        c0 = rng.uniform(0.5, 1.2, 108)
+        # l1 sums above kb, Bernstein coefficients c_0, c_0 (1 - a/2), c_0 (1 - a + b) below it
+        certified = np.zeros((10, 108))
+        certified[:3] = c0 * np.array([np.ones(108), -rng.uniform(0.4, 0.6, 108), rng.uniform(0.2, 0.3, 108)])
+        poly = np.concatenate([_flat_columns(rng, 0.5), rng.uniform(-2.0, 2.0, (10, 108)),
+                               rng.uniform(-0.1, 0.1, (10, 108)), certified], axis=1)[:, rng.permutation(432)]
+        kept = poly.copy()
+        mesh = Mesh2D(1.0, 1.0, 24, 18)
+        alpha = rescale_factor(mesh, poly, kb).values
+        assert alpha.min() < 1.0 and np.count_nonzero(alpha == 1.0) > 200
+        scratch = np.full((2, mesh.ncells), np.nan)
+        got = rescale_factor(mesh, poly, kb, stepper._FLAT_TOL, scratch).values
+        assert np.shares_memory(got, scratch[1])
+        assert np.array_equal(got, alpha)
+        assert np.array_equal(rescale_factor(mesh, np.asfortranarray(poly), kb).values, alpha)
+        assert np.array_equal(poly, kept)
+
     def test_degree_zero_takes_the_exact_maximum(self):
         # a constant's maximum is |c_0| itself, with no headroom
         c0 = np.random.default_rng(24).uniform(-5.0, 5.0, self.mesh.ncells)
@@ -629,8 +648,21 @@ class TestStep:
         for n in range(1, 11):
             u, _ = step(ctx, u, n=n)
         u1, _ = step(ctx, u, n=11)
+        top = []
+
+        def spy(mesh, poly, *args):
+            top.append(poly.copy())
+            return stepper.rescale_factor(mesh, poly, *args)
+
+        monkeypatch.setitem(replicate_cascade.__globals__, "rescale_factor", spy)
         replayed, _ = replicate_cascade(ctx, u)
+        monkeypatch.undo()
         assert np.array_equal(u1.values, replayed.values)
+        # the check below is vacuous unless the top level has such tails at
+        # points whose l1 sums pass the bound (3 of them here)
+        c0, tail = np.abs(top[-1][0]), np.abs(top[-1][1:]).sum(axis=0)
+        band = (tail > stepper._FLAT_TOL * c0) & (tail <= 2.7e-12 * c0) & (c0 + tail > ctx.kappa_beta)
+        assert len(top[-1]) == 7 and np.any(band)
         # a top level flat-tested at 1e-12 or at either neighbouring level's
         # bound (4.0e-13, 1.9e-11) moves the step
         for wrong in (stepper._FLAT_TOL, ctx.spec.systems[4].roundoff, Vandermonde(make_nodes(7)).roundoff):
@@ -874,29 +906,14 @@ def test_step_equals_cascade_where_some_levels_shrink(monkeypatch, fh, tau, seed
     assert np.array_equal(u1.values, replayed.values)
 
 
-def traced_peak(fn):
-    """fn() and the peak bytes traced by tracemalloc while it ran, above
-    what was traced before, as numpy reports its arrays to tracemalloc."""
-    started = not tracemalloc.is_tracing()
-    if started:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        out = fn()
-        return out, tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if started:
-            tracemalloc.stop()
-
-
 class TestWorkspace:
     """A step computes in its context's workspace, reads nothing an earlier
     step left there, and returns a field of its own."""
 
-    @pytest.mark.parametrize("order, rescaled, budget", [(3, False, 1.25), (5, True, 9.0)])
+    @pytest.mark.parametrize("order, rescaled, budget", [(3, False, 1.25), (5, True, 1.25)])
     def test_a_warm_step_allocates_little_beyond_its_result(self, gl, order, rescaled, budget):
-        # in fields of the mesh; the returned field is one of them
+        # in fields of the mesh; the returned field is one of them, and
+        # rescale_factor sums and writes its factor in workspace rows
         mesh = Mesh2D(2 * np.pi, 2 * np.pi, 64, 64)
         ctx = make_ctx(mesh, gl, order, 0.05, rescaled=rescaled)
         u1, _ = step(ctx, sinprod(mesh, 0.5), n=1)
