@@ -23,7 +23,6 @@ modes produce bit-identical steps whenever the computed a is one everywhere.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 
 import numpy as np
@@ -47,10 +46,9 @@ __all__ = [
     "phi_keys",
 ]
 
-_REAL_ROOT_TOL = 1e-10
 # the least tolerance of rescale_factor's flat test, and 64 ulp over the l1 sum's rounding
 _FLAT_TOL, _HEADROOM = 1e-12, 1.0 + 64.0 * np.finfo(float).eps
-_CELLS, _NEWTON_STEPS, _BLOCK = 8, 8, 2048  # the search for derivative roots of degree >= 3
+_DEPTH, _NEWTON_STEPS, _BLOCK = 40, 8, 2048  # the search for the derivative's roots
 # phi's 1e-13 contract and the Vandermonde residual tests cover j <= 10
 MAX_ORDER = 10
 
@@ -334,9 +332,9 @@ def rescale_factor(mesh: Mesh2D, poly: np.ndarray, kappa_beta: float, flat_tol: 
     Both only ever certify a = 1.  A flat point of degree >= 1, with
     sum_{m>=1} |c_m| <= flat_tol |c_0|, then takes its l1 sum as max |P|:
     an upper bound within flat_tol, so a is up to flat_tol smaller,
-    relatively, than from the exact maximum, which decides every other
-    point, its critical points from Bernstein isolation and Newton, and from
-    companion eigenvalues where that is inconclusive (polynomial_abs_max).
+    relatively, than from the exact maximum m (polynomial_abs_max), which
+    decides every other point, as a = kappa_beta / (m + 2 d eps l1): the
+    margin bounds Horner's rounding in m (Higham ch. 5), so |a P| <= kappa_beta.
     step passes max(_FLAT_TOL, V_d.roundoff) at degree d, the rounding its
     solve leaves in c: _FLAT_TOL = 1e-12 for uniform nodes up to d = 5 and
     Chebyshev up to d = 6, then 2.7e-12, 1.9e-11, 1.3e-10, 9.4e-10 (uniform,
@@ -371,6 +369,7 @@ def rescale_factor(mesh: Mesh2D, poly: np.ndarray, kappa_beta: float, flat_tol: 
         suspicious = suspicious[~flat]
     if suspicious.size:
         m, _ = _poly_abs_max_many(poly[:, suspicious])  # Fortran-ordered: its P(1) sum's bits depend on it
+        m += 2 * (len(poly) - 1) * np.finfo(float).eps * l1[suspicious]
         alpha[suspicious] = np.minimum(kappa_beta / np.maximum(m, 1e-300), 1.0)
     return Field(mesh, alpha)
 
@@ -388,12 +387,10 @@ def _bernstein_matrix(d: int) -> np.ndarray:
 def polynomial_abs_max(coeffs) -> tuple[float, float]:
     """(max, argmax) of |c_0 + c_1 s + ... + c_d s^d| over s in [0, 1].
 
-    Candidates are s = 0, s = 1, and the real roots of the derivative in
-    (0, 1): closed forms up to degree 2, then Bernstein isolation on 8
-    cells and safeguarded Newton.  Points that this leaves inconclusive
-    take companion-matrix eigenvalues, a root counting as real when
-    |imag| <= 1e-10 (1 + |real|).  All-zero coefficients give (0, 0),
-    and coefficients that are not finite a ValueError.
+    Candidates are s = 0, s = 1, and the roots of the derivative in
+    [0, 1], isolated by Bernstein halving and found by safeguarded Newton
+    (_critical).  All-zero coefficients give (0, 0), and coefficients that
+    are not finite a ValueError.
     """
     c = np.atleast_1d(np.asarray(coeffs, dtype=np.float64))
     if c.ndim != 1 or c.size == 0:
@@ -408,13 +405,9 @@ def polynomial_abs_max(coeffs) -> tuple[float, float]:
 
 def _poly_abs_max_many(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Columnwise |P| maximum over [0, 1] for stacked coefficients (d+1, n)."""
-    d, npts = c.shape[0] - 1, c.shape[1]
-    best = np.abs(c[0]).copy()
-    arg = np.zeros(npts)
-    v1 = np.abs(c.sum(axis=0))
-    upd = v1 > best
-    best[upd] = v1[upd]
-    arg[upd] = 1.0
+    d = c.shape[0] - 1
+    v0, v1 = np.abs(c[0]), np.abs(c.sum(axis=0))
+    best, arg = np.maximum(v0, v1), np.where(v1 > v0, 1.0, 0.0)
     if d == 0:
         return best, arg
     deriv = c[1:] * np.arange(1, d + 1)[:, None]
@@ -423,110 +416,100 @@ def _poly_abs_max_many(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # points with constant or vanishing derivative are settled by endpoints
     eff = np.where(nonzero.any(axis=0), (d - 1) - np.argmax(nonzero[::-1], axis=0), -1)
     for e in range(1, d):
-        pts = np.nonzero(eff == e)[0]
-        if e >= 3 and pts.size:
-            pts = np.concatenate([blk[_newton_critical(best, arg, c, deriv[: e + 1, blk], blk)]
-                                  for blk in np.split(pts, range(_BLOCK, pts.size, _BLOCK))])
-        if pts.size:
-            _update_from_roots(best, arg, c, _roots(deriv[: e + 1, pts]), pts)
+        pts = np.flatnonzero(eff == e)
+        for first in range(0, pts.size, _BLOCK):
+            blk = pts[first : first + _BLOCK]
+            _critical(best, arg, c, deriv[: e + 1, blk], blk)
     return best, arg
 
 
-@functools.cache
-def _cell_bernstein(e: int) -> np.ndarray:
-    """Monomial-to-Bernstein change of basis on each cell [k, k+1] / _CELLS."""
-    shift = [[[math.comb(i, j) * k ** (i - j) / _CELLS**i if j <= i else 0.0 for i in range(e + 1)]
-              for j in range(e + 1)] for k in range(_CELLS)]
-    return _bernstein_matrix(e) @ np.array(shift)
+def _critical(best, arg, c, dc, pts):
+    """Raise best/arg at pts to |P| at the roots of P' in [0, 1], P''s
+    coefficients dc of degree e >= 1 with a nonzero lead.  Every operation
+    acts per point, so a point's result does not depend on its batch.
 
-
-def _newton_critical(best, arg, c, dc, pts) -> np.ndarray:
-    """Raise best/arg at pts to |P| at the roots of P' (coefficients dc,
-    degree e >= 3, nonzero lead); returns the mask of inconclusive points:
-    a cell's Bernstein coefficients change sign twice or more (a zero
-    counts as negative, which can only add changes), or a root's last
-    Newton step exceeds 1e-10 and leaves the bracket or moves |P| by more
-    than 1e-16 relative.  Every operation acts per point."""
-    e, n = dc.shape[0] - 1, dc.shape[1]
-    changes, ends = np.empty((_CELLS, n), dtype=np.intp), np.empty((2, _CELLS, n))
-    b, tmp = np.empty((2, e + 1, n))
-    for k, mat in enumerate(_cell_bernstein(e)):
-        np.multiply(mat[:, :1], dc[0], out=b)
-        for j in range(1, e + 1):
-            b += np.multiply(mat[:, j : j + 1], dc[j], out=tmp)
+    P''s Bernstein coefficients on [0, 1] are halved by de Casteljau until
+    those of each piece change sign at most once (a zero counts as negative,
+    which can only add changes), so that a piece holds at most one root
+    (Descartes' rule in Bernstein form), or _DEPTH times, after which a
+    piece stands for its midpoint.  Safeguarded Newton starts at each
+    one-change piece's secant; a root whose last step exceeds 1e-10 and
+    leaves the bracket or moves |P| by more than 1e-16 relative is then
+    bisected to its last bit.
+    """
+    e = dc.shape[0] - 1
+    b = sum(_bernstein_matrix(e)[:, j, None] * dc[j] for j in range(e + 1))  # per point, unlike a BLAS product
+    start, piece, isolated = np.zeros(dc.shape[1]), np.arange(dc.shape[1]), []
+    for depth in range(_DEPTH + 1):
+        width = 0.5**depth
         pos = b > 0.0
-        changes[k] = np.count_nonzero(pos[1:] != pos[:-1], axis=0)
-        ends[:, k] = b[:: e]
-    failed = (changes > 1).any(axis=0)
-    cell, col = np.divmod(np.flatnonzero((changes == 1) & ~failed), n)
-    left, right = ends[:, cell, col]
+        changes = np.count_nonzero(pos[1:] != pos[:-1], axis=0)
+        one, many = changes == 1, changes > 1
+        isolated.append((b[0, one], b[e, one], start[one], start[one] + width, piece[one]))
+        b, start, piece = b[:, many], start[many], piece[many]
+        if depth == _DEPTH or not piece.size:
+            break
+        b, start, piece = _halves(b), np.concatenate([start, start + width / 2]), np.concatenate([piece, piece])
+    left, right, lo, hi, col = map(np.concatenate, zip(*isolated))
     # one sign change: flip P' to be <= 0 at the left end, start at the secant
     g = dc[:, col] * np.where(left > 0.0, -1.0, 1.0)
-    lo, hi = cell / _CELLS, (cell + 1) / _CELLS
-    x = lo + left / (left - right) / _CELLS
+    x = lo + left / (left - right) * (hi - lo)
     with np.errstate(divide="ignore", invalid="ignore"):
         for it in range(_NEWTON_STEPS + 1):
-            f, fp = g[e] * x + g[e - 1], g[e].copy()
-            for row in g[e - 2 :: -1]:
-                np.add(np.multiply(fp, x, out=fp), f, out=fp)
-                np.add(np.multiply(f, x, out=f), row, out=f)
+            f, fp = _horner(g, x)
             step = f / fp
             if it == _NEWTON_STEPS:
                 break
             lo, hi = np.where(f > 0.0, lo, x), np.where(f > 0.0, x, hi)
             x -= step
             np.copyto(x, 0.5 * (lo + hi), where=~((x >= lo) & (x <= hi)))
-        val = _abs_at(c, pts[col], x)
+        val = np.abs(_horner(c[:, pts[col]], x)[0])
         ok = (np.abs(step) <= 1e-10) | ((x - step >= lo) & (x - step <= hi) & (np.abs(f * step) <= 1e-16 * val))
-    failed[col[~ok]] = True
-    val[failed[col]] = -1.0
-    for a, z in itertools.pairwise(np.searchsorted(cell, np.arange(_CELLS + 1))):
-        _raise_to(best, arg, pts[col[a:z]], val[a:z], x[a:z])
-    return failed
+    bad = np.flatnonzero(~ok)
+    x[bad] = _bisect(g[:, bad], lo[bad], hi[bad])
+    # a piece left at the depth cap stands for its midpoint
+    x, col = np.concatenate([x, start + width / 2]), pts[np.concatenate([col, piece])]
+    _raise_to(best, arg, col, np.abs(_horner(c[:, col], x)[0]), x)
 
 
-def _roots(dcoeffs: np.ndarray) -> np.ndarray:
-    """Roots of columnwise polynomials with nonzero leading coefficient.
-
-    Shape (e+1, n) in, complex (n, e) out.  Degree 1 and 2 use closed
-    forms; higher degrees use batched companion-matrix eigenvalues.
-    """
-    e = dcoeffs.shape[0] - 1
-    n = dcoeffs.shape[1]
-    if e == 1:
-        return (-dcoeffs[0] / dcoeffs[1]).astype(np.complex128)[:, None]
-    if e == 2:
-        a, b, cc = dcoeffs[2], dcoeffs[1], dcoeffs[0]
-        disc = np.sqrt((b * b - 4.0 * a * cc).astype(np.complex128))
-        return np.stack([(-b + disc) / (2.0 * a), (-b - disc) / (2.0 * a)], axis=1)
-    monic = dcoeffs[:e] / dcoeffs[e]
-    comp = np.zeros((n, e, e))
-    idx = np.arange(e - 1)
-    comp[:, idx + 1, idx] = 1.0
-    comp[:, :, -1] = -monic.T
-    return np.linalg.eigvals(comp)
+def _halves(b: np.ndarray) -> np.ndarray:
+    """de Casteljau at 1/2: the Bernstein coefficients (e+1, n) of n pieces
+    become those of their left halves, then of their right halves, (e+1, 2n)."""
+    e, n = b.shape[0] - 1, b.shape[1]
+    out = np.empty((e + 1, 2 * n))
+    out[0, :n], out[e, n:] = b[0], b[e]
+    for k in range(1, e + 1):
+        b = 0.5 * (b[:-1] + b[1:])
+        out[k, :n], out[e - k, n:] = b[0], b[-1]
+    return out
 
 
-def _update_from_roots(best, arg, c, roots, pts):
-    for k in range(roots.shape[1]):
-        re = roots[:, k].real
-        im = roots[:, k].imag
-        ok = (np.abs(im) <= _REAL_ROOT_TOL * (1.0 + np.abs(re))) & (re > 0.0) & (re < 1.0)
-        cols, x = pts[ok], re[ok]
-        _raise_to(best, arg, cols, _abs_at(c, cols, x), x)
+def _horner(g: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(g(x), g'(x)) by Horner, g's rows the coefficients of x^0..x^e."""
+    f, fp = g[-1].copy(), np.zeros_like(x)
+    for row in g[-2::-1]:
+        np.add(np.multiply(fp, x, out=fp), f, out=fp)
+        np.add(np.multiply(f, x, out=f), row, out=f)
+    return f, fp
 
 
-def _abs_at(c: np.ndarray, cols: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """|sum_m c[m, cols] x^m| by Horner, one gathered row at a time."""
-    acc = c[-1, cols]
-    for row in c[-2::-1]:
-        acc *= x
-        acc += row[cols]
-    return np.abs(acc)
+def _bisect(g: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Where g, <= 0 at lo and >= 0 at hi, changes sign, by halving each
+    bracket until its ends are neighbouring floats."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        live = (lo < mid) & (mid < hi)
+        if not live.any():
+            return mid
+        up = _horner(g, mid)[0] > 0.0
+        lo, hi = np.where(live & ~up, mid, lo), np.where(live & up, mid, hi)
 
 
 def _raise_to(best, arg, tgt, vals, x):
-    """best[tgt] = vals and arg[tgt] = x where vals > best[tgt]; tgt distinct."""
-    upd = vals > best[tgt]
-    best[tgt[upd]] = vals[upd]
-    arg[tgt[upd]] = x[upd]
+    """Raise best[t] to the largest of vals at t where that exceeds it, and
+    arg[t] to the least x that attains it; t may repeat in tgt."""
+    old = best[tgt]
+    np.fmax.at(best, tgt, vals)
+    hit = (vals > old) & (vals == best[tgt])
+    arg[tgt[hit]] = np.inf
+    np.fmin.at(arg, tgt[hit], x[hit])
