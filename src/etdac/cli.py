@@ -38,7 +38,7 @@ MAX_PHI_CACHE_BYTES = 2**30
 # cells a grid may have, 4096^2, where one field takes 128 MiB.  The one
 # live step context holds the plan (12 nx ny bytes or less), its phi grids
 # (one field each, capped above) and, from its first step on, a workspace
-# of 3r + 3 fields; each step returns one more field
+# of 3r + 2 fields; each step returns one more field
 MAX_CELLS = 2**24
 
 
@@ -215,16 +215,13 @@ def _parse_ref(spec_str: str, order: int) -> tuple[int, float | None]:
         if order >= MAX_ORDER:
             raise ConfigError(f"--ref order_up needs order {order + 1}; stepping supports order <= {MAX_ORDER}")
         return order + 1, None
-    if spec_str.startswith("self_finer"):
-        parts = spec_str.split(":")
-        try:
-            k = 8 if len(parts) == 1 else int(parts[1])
-        except ValueError as exc:
-            raise ConfigError(f"bad self_finer divider: {exc}") from exc
-        if k < 1:
-            raise ConfigError("self_finer divider must be >= 1")
-        return order, float(k)
-    raise ConfigError(f'unknown reference spec {spec_str!r}')
+    name, colon, divider = spec_str.partition(":")
+    if name != "self_finer" or colon and not (divider.isascii() and divider.isdigit()):
+        raise ConfigError(f"unknown reference spec {spec_str!r}; expected order_up, self_finer or self_finer:K")
+    k = int(divider) if colon else 8
+    if k < 1:
+        raise ConfigError("self_finer divider must be >= 1")
+    return order, float(k)
 
 
 def cmd_converge(cfg, args) -> int:

@@ -100,10 +100,6 @@ class StepContext:
         self._phi_blocks: dict[float, np.ndarray] = {}
         self._workspace = None
 
-    def phi_grid(self, j: int, s: float) -> np.ndarray:
-        """c * phi_j(s * eigvals) as a (ny, nx) view into s's block (phi_stack)."""
-        return self.phi_stack(s, j + 1)[j]
-
     def phi_stack(self, s: float, rows: int) -> np.ndarray:
         """The grids c * phi_j(s * eigvals), j < rows, as a (rows, ny, nx)
         view of s's block, the cache's contiguous phi_0..phi_jmax at s.
@@ -111,26 +107,23 @@ class StepContext:
         c is the scalar of phi_j in the stage formula: 1 for j = 0, s for
         j = 1 and tau (j-1)! (s/tau)^j for j >= 2.  Both act elementwise,
         so tabulating on plan.values and gathering by plan.index is exact.
-        The first request for s sizes its block for every j that phi_keys
-        gives for s, so no step grows it; a request past it grows it.
+        The first request for s builds its block for every j that phi_keys
+        gives for s, so no step rebuilds it; a request past it builds the
+        block again, whole, at the larger size.
         """
         s = float(s)
         block = self._phi_blocks.get(s)
-        have = 0 if block is None else len(block)
-        if have < rows:
+        if block is None or len(block) < rows:
             size = max([rows] + [j + 1 for j, t in phi_keys(self.spec, self.tau) if t == s])
-            grown = np.empty((size, *self.plan.index.shape))
-            if have:
-                grown[:have] = block
-            for j in range(have, size):
+            block = self._phi_blocks[s] = np.empty((size, *self.plan.index.shape))
+            for j, grid in enumerate(block):
                 table = phi_batch(j, s * self.plan.values)
                 if j == 1:
                     table *= s
                 elif j > 1:
                     table *= self.tau * math.factorial(j - 1) * (s / self.tau) ** j
                 # the index is in range; mode "raise" would gather through a temporary
-                np.take(table, self.plan.index, out=grown[j], mode="clip")
-            block = self._phi_blocks[s] = grown
+                np.take(table, self.plan.index, out=grid, mode="clip")
         return block[:rows]
 
     @property
@@ -153,21 +146,21 @@ class StepContext:
 
 
 class Workspace:
-    """The field-sized arrays of a step, 3r + 3 fields at order r.
+    """The field-sized arrays of a step, 3r + 2 fields at order r.
 
     spectra[0] is u_n's spectrum and spectra[1:j+2] level j's, so that a
     stage sums the one slice spectra[:j+1] against a phi block in acc.
-    poly[:j+1] is level j's polynomial, row 0 N(u_n) at every level, and
-    n0_hat N(u_n)'s spectrum, copied to spectra[1] where alpha is one.  The
-    solve of level j takes spectra[2:j+2], dead once the level's stages are
-    summed, and scratch[:j] as its two scratch arrays; tmp is the
-    nonlinearity's, and acc and tmp rescale_factor's.  Every array is
-    written in each step before it is read, so a step that raised leaves
-    nothing the next one sees.
+    poly[:j+1] is level j's polynomial, row 0 N(u_n) at every level, whose
+    spectrum stays in spectra[1] from a level where alpha is one to the
+    next such level.  The solve of level j takes spectra[2:j+2], dead once
+    the level's stages are summed, and scratch[:j] as its two scratch
+    arrays; tmp is the nonlinearity's, and acc and tmp rescale_factor's.
+    Every array is written in each step before it is read, so a step that
+    raised leaves nothing the next one sees.
     """
 
     def __init__(self, mesh: Mesh2D, order: int):
-        self.n0_hat, self.acc, self.tmp = np.empty((3, mesh.ny, mesh.nx))
+        self.acc, self.tmp = np.empty((2, mesh.ny, mesh.nx))
         self.spectra = np.empty((order + 1, mesh.ny, mesh.nx))
         self.poly = np.empty((order, mesh.ncells))
         self.scratch = np.empty((order - 1, mesh.ncells))
@@ -194,28 +187,22 @@ def _dct(grid: np.ndarray) -> np.ndarray:
     return scipy.fft.dctn(grid, type=2, norm="ortho", overwrite_x=True)
 
 
-def _spectra(poly: np.ndarray, alpha: Field, out: np.ndarray, hat0=None, held: bool = False) -> float:
+def _spectra(poly: np.ndarray, alpha: Field, out: np.ndarray, held: bool = False) -> float:
     """alpha's minimum, with the spectra of alpha * poly's rows computed in
     out, a (len(poly), ny, nx) array.
 
     poly is a level's (level+1, ncells) polynomial: row 0 the unscaled
     N(u_n), row m the coefficient c_m of (s/tau)^m.  alpha is the
     pointwise factor, None for one at every point.  Where alpha_min is
-    one, 1.0 * poly is poly, so the rows go unscaled, and hat0, when
-    given, returns row 0's spectrum, which the caller has: it is copied to
-    out[0] unless held says that out[0] holds it already.
+    one, 1.0 * poly is poly, so the rows go unscaled, and held says that
+    out[0] holds row 0's spectrum already, which is then not transformed.
     """
     alpha_min = 1.0 if alpha is None else float(alpha.values.min())
-    flat, first = out.reshape(len(poly), -1), 0
+    flat, first = out.reshape(len(poly), -1), int(held and alpha_min == 1.0)
     if alpha_min != 1.0:
         np.multiply(alpha.values, poly, out=flat)
-    elif hat0 is None:
-        flat[...] = poly
     else:
-        first = 1
-        if not held:
-            out[0] = hat0()
-        flat[1:] = poly[1:]
+        flat[first:] = poly[first:]
     for row in out[first:]:
         _dct(row)
     return alpha_min
@@ -281,12 +268,6 @@ def step(ctx: StepContext, u_n: Field, *, n: int = 1) -> tuple[Field, float]:
     except ValueError as exc:
         raise BoundExceeded(0, 0, n) from exc
 
-    @functools.cache
-    def n0_hat():
-        """N(u_n)'s spectrum, built on first use: a step where every level shrinks needs none."""
-        ws.n0_hat.reshape(mesh.ncells)[...] = n0
-        return _dct(ws.n0_hat)
-
     ws.spectra[0].reshape(mesh.ncells)[...] = u_n.values
     _dct(ws.spectra[0])
 
@@ -312,7 +293,7 @@ def step(ctx: StepContext, u_n: Field, *, n: int = 1) -> tuple[Field, float]:
         # alpha, in tmp, unbound; spectra[1] still holds N(u_n)'s spectrum
         # after a level where alpha was one
         level_min = _spectra(poly, rescale_factor(mesh, poly, ctx.kappa_beta, flat_tol, rows) if ctx.rescaled
-                             else None, ws.spectra[1 : j + 2], n0_hat, level_min == 1.0)
+                             else None, ws.spectra[1 : j + 2], level_min == 1.0)
         alpha_min = min(alpha_min, level_min)
 
     out = _stage_values(ctx, ctx.tau, ws.spectra, np.empty((mesh.ny, mesh.nx)))
@@ -408,25 +389,21 @@ def _poly_abs_max_many(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     d = c.shape[0] - 1
     v0, v1 = np.abs(c[0]), np.abs(c.sum(axis=0))
     best, arg = np.maximum(v0, v1), np.where(v1 > v0, 1.0, 0.0)
-    if d == 0:
+    if d < 2:  # P' is constant: the endpoints decide
         return best, arg
     deriv = c[1:] * np.arange(1, d + 1)[:, None]
-    nonzero = deriv != 0.0
-    # highest nonzero derivative coefficient per point, -1 when P' == 0;
-    # points with constant or vanishing derivative are settled by endpoints
-    eff = np.where(nonzero.any(axis=0), (d - 1) - np.argmax(nonzero[::-1], axis=0), -1)
-    for e in range(1, d):
-        pts = np.flatnonzero(eff == e)
-        for first in range(0, pts.size, _BLOCK):
-            blk = pts[first : first + _BLOCK]
-            _critical(best, arg, c, deriv[: e + 1, blk], blk)
+    for first in range(0, c.shape[1], _BLOCK):
+        blk = np.arange(first, min(first + _BLOCK, c.shape[1]))
+        _critical(best, arg, c, deriv[:, blk], blk)
     return best, arg
 
 
 def _critical(best, arg, c, dc, pts):
     """Raise best/arg at pts to |P| at the roots of P' in [0, 1], P''s
-    coefficients dc of degree e >= 1 with a nonzero lead.  Every operation
-    acts per point, so a point's result does not depend on its batch.
+    coefficients dc of formal degree e >= 1, its lead zero or not.  Every
+    operation acts per point, so a point's result does not depend on its
+    batch.  A P' that is zero or constant has no sign change, so the
+    endpoints, already in best, decide it.
 
     P''s Bernstein coefficients on [0, 1] are halved by de Casteljau until
     those of each piece change sign at most once (a zero counts as negative,

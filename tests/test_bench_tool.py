@@ -76,3 +76,23 @@ def test_checkout_must_hold_perfbench_and_sources(bench, tmp_path):
     with pytest.raises(SystemExit) as exc:
         bench.main(["--label", "x", "--checkout", str(tmp_path)])
     assert exc.value.code == 2
+
+
+def test_gate_times_are_read_from_the_printed_criterion_lines(bench):
+    # as a full test run prints them; the failure's traceback repeats the
+    # print statement's source and its assertion, neither read as a line
+    text = (
+        "[PASS] criterion 1: node-family minimum singular values (0.15s / budget 1s)\n"
+        ".\n"
+        "[FAIL] criterion 3: rates within 0.25 (r=5: 1.74/2.07) (79.38s / budget 600s)\n"
+        "F\n"
+        "[PASS] criterion 10: 10^4 maxima (range [-1.1e-16, 1.3e-11]) (5.42s / budget 30s)\n"
+        '        print(f"\\n[{status}] criterion {num}: {desc} ({elapsed:.2f}s / budget {budget:g}s)")\n'
+        "E       AssertionError: criterion 3: rates within 0.25 (r=5: 1.74/2.07)\n"
+    )
+    assert bench.gate_times(text) == {
+        1: {"status": "PASS", "seconds": 0.15, "budget": 1.0},
+        3: {"status": "FAIL", "seconds": 79.38, "budget": 600.0},
+        10: {"status": "PASS", "seconds": 5.42, "budget": 30.0},
+    }
+    assert bench.gate_times("no gate ran\n") == {}

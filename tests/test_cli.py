@@ -161,6 +161,10 @@ class TestExitCodes:
         ["run", "--grid", "1024", "--order", "9", "--t-end", "0.1"],
         # eps^2 overflows, so the spectrum is not finite
         ["run", "--grid", "8", "--eps", "1e300"],
+        # a reference spec is exactly order_up, self_finer or self_finer:K
+        ["converge", "--ref", "self_finerzzz", "--grid", "8"],
+        ["converge", "--ref", "self_finer:2:9", "--grid", "8"],
+        ["converge", "--ref", "self_finer:1_0", "--grid", "8"],
     ])
     def test_config_errors_exit_2(self, tmp_path, argv, capsys):
         if isinstance(argv[-1], dict):

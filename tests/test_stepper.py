@@ -172,6 +172,9 @@ EXACT_CASES = {
     "triple_root": _integral([0.6, 0.6, 0.6, -1.0], 20.0, 0.1),
     # dyadic roots, so P'(1/2) is exactly zero on the first halving's edge: the maximum is there
     "root_at_the_halving_point": _integral([0.125, 0.5, 0.875], 512.0, 1.53125),
+    # P' identically zero, and P' constant, at formal degree >= 2: the endpoints decide
+    "derivative_identically_zero": np.array([-0.7, 0.0, 0.0, 0.0]),
+    "derivative_constant": np.array([0.3, -1.2, 0.0, 0.0, 0.0]),
 }
 
 
@@ -239,6 +242,22 @@ class TestExactMaximum:
             want = exact_poly_max(coeffs)
             worst = max(worst, abs(m - want) / want)
         assert worst <= 1e-14
+
+    @pytest.mark.parametrize("degree", range(1, 9))
+    def test_zero_padded_polynomials_match_oracle(self, degree):
+        # true degree 1..8 at formal degree 9, so the search runs on a P'
+        # whose leading coefficients are zero, in one batch with columns of
+        # full degree; each column's result is the one it gets alone (in
+        # Fortran order, as rescale_factor batches them, P(1) sums alike)
+        rng = np.random.default_rng(2000 + degree)
+        cols = np.asfortranarray(rng.uniform(-2.0, 2.0, (10, 400)))
+        cols[degree + 1 :, :200] = 0.0
+        m, s = stepper._poly_abs_max_many(cols)
+        for p in range(200):
+            want = exact_poly_max(cols[: degree + 1, p])
+            assert abs(m[p] - want) <= 1e-14 * want
+            assert (m[p], s[p]) == polynomial_abs_max(cols[:, p])
+        assert abs(np.polynomial.polynomial.polyval(s, cols, tensor=False)) == pytest.approx(m, rel=1e-14)
 
 
 class TestRescaleFactor:
@@ -500,15 +519,17 @@ class TestStepContext:
         # each grid is cached already multiplied by its stage-formula scalar,
         # bit for bit phi_batch on every cell of the eigenvalue grid, on a
         # square mesh and on one whose eigenvalues are not symmetric; a
-        # repeated request returns the same memory, a row of its s's block
+        # repeated request returns the same memory, a row of its s's block.
+        # At s = 0.05, which no step reads, each request in order of j
+        # builds the block again, one row longer
         tau = 0.1
         for mesh in (mesh8, Mesh2D(2 * np.pi, np.pi, 12, 8)):
             ctx = make_ctx(mesh, gl, 5, tau)
-            for j, s in phi_keys(ctx.spec, tau) | {(j, 0.05) for j in range(5)}:
+            for j, s in sorted(phi_keys(ctx.spec, tau) | {(j, 0.05) for j in range(5)}):
                 c = 1.0 if j == 0 else s if j == 1 else tau * math.factorial(j - 1) * (s / tau) ** j
-                grid, again = ctx.phi_grid(j, s), ctx.phi_grid(j, s)
+                grid, again = ctx.phi_stack(s, j + 1)[j], ctx.phi_stack(s, j + 1)[j]
                 assert grid.ctypes.data == again.ctypes.data and grid.shape == again.shape == (mesh.ny, mesh.nx)
-                assert grid.base is ctx._phi_blocks[s] and np.shares_memory(grid, ctx.phi_stack(s, j + 1)[j])
+                assert grid.base is ctx._phi_blocks[s]
                 assert np.array_equal(grid, c * phi_batch(j, s * ctx.plan.eigvals))
 
     @pytest.mark.parametrize("kind", ["uniform", "chebyshev"])
@@ -542,9 +563,10 @@ class TestStepContext:
             for s in (0.2, float(rng.uniform(0.01, 0.2))):
                 spectra = rng.standard_normal((terms, *shape)) * 10.0 ** rng.integers(-6, 6, (terms, 1, 1))
                 want, tmp = np.empty((2, *shape))
-                np.multiply(ctx.phi_grid(0, s), spectra[0], out=want)
+                block = ctx.phi_stack(s, terms)
+                np.multiply(block[0], spectra[0], out=want)
                 for m in range(1, terms):
-                    want += np.multiply(ctx.phi_grid(m, s), spectra[m], out=tmp)
+                    want += np.multiply(block[m], spectra[m], out=tmp)
                 got = stepper._stage_values(ctx, s, spectra, np.empty(shape))
                 want = scipy.fft.idctn(want, type=2, norm="ortho").ravel()
                 if not _einsum_fuses():
@@ -886,9 +908,11 @@ def count_transforms(monkeypatch, ctx, u):
 
 
 class TestTransformCount:
-    """u_n and N(u_n) are transformed once per step; each level j < r adds
-    the transforms of its j new coefficient rows, and of its own scaled
-    row 0 only where rescaling shrinks some point."""
+    """u_n is transformed once per step and N(u_n) at level 0.  Each level
+    j < r adds the transforms of its j new coefficient rows, and of its
+    row 0 where rescaling shrinks some point, or where alpha is one after a
+    level that shrank: N(u_n)'s spectrum is kept only from one level where
+    alpha is one to the next."""
 
     @pytest.mark.parametrize("order", [3, 5])
     @pytest.mark.parametrize("rescaled", [False, True])
@@ -910,11 +934,24 @@ class TestTransformCount:
         assert fwd == 2 + order * (order - 1) // 2 + 2
         assert inv == 1 + order * (order - 1) // 2
 
+    def test_a_level_where_alpha_is_one_after_a_shrunk_level_transforms_n0_again(self, monkeypatch, fh):
+        mesh = Mesh2D(2 * np.pi, 2 * np.pi, 16, 16)
+        order = 4
+        ctx = make_ctx(mesh, fh, order, 1.0, rescaled=True)
+        # with this seed, alpha < 1 at level 2 only: level 2 transforms its
+        # scaled row 0, and level 3 N(u_n) again
+        u = random_field(mesh, 207, -fh.beta + 1e-12, fh.beta - 1e-12)
+        fwd, inv, _ = count_transforms(monkeypatch, ctx, u)
+        assert fwd == 2 + order * (order - 1) // 2 + 1 + 1
+        assert inv == 1 + order * (order - 1) // 2
 
-@pytest.mark.parametrize("tau, seed", [(1.0, 102), (10.0, 4)])
+
+@pytest.mark.parametrize("tau, seed", [(1.0, 102), (10.0, 4), (1.0, 207)])
 def test_step_equals_cascade_where_some_levels_shrink(monkeypatch, fh, tau, seed):
-    # the step reuses the spectrum of N(u_n) only at levels where alpha is
-    # one at every point; replicate_cascade transforms alpha * N(u_n) anew
+    # the step keeps the spectrum of N(u_n) from one level where alpha is
+    # one at every point to the next; replicate_cascade transforms
+    # alpha * N(u_n) anew.  Seed 207 shrinks at level 2 alone, so that
+    # level 3 transforms N(u_n) again after level 1 kept it
     mesh = Mesh2D(2 * np.pi, 2 * np.pi, 16, 16)
     ctx = make_ctx(mesh, fh, 4, tau, rescaled=True)
     u = random_field(mesh, seed, -fh.beta + 1e-12, fh.beta - 1e-12)

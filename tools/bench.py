@@ -26,14 +26,16 @@ The file records:
   the mean pair's that follow it.  It also records the minor page faults
   of the timed steps (``ru_minflt``, the pairs excluded) and the phi cache
   as the context holds it, len(phi_keys) * 8 * ncells bytes.
+* ``gate``: the acceptance gate's status, seconds and budget per
+  criterion, read from the ``[PASS]``/``[FAIL] criterion N: ... (X s /
+  budget Y s)`` lines of the checkout's ``test_output.txt``, the output of
+  its last full test run (the gate takes minutes, so it is not run here);
+  null where the checkout has no such file.
 * the checkout's git commit, whether its ``src`` differs from that commit,
   the Python, numpy and scipy versions, and numpy's SIMD baseline: a build
   whose baseline fuses multiply-add (NEON, or x86 at FMA3) rounds the
   stepper's one-pass stage sums otherwise than one that does not, so two
   files compare like for like only on the same baseline.
-
-The acceptance gate's time per criterion is not recorded here: it takes
-about ten minutes, and the test suite prints it.
 """
 
 from __future__ import annotations
@@ -67,6 +69,8 @@ EPS = 0.1
 STEPS = 9  # timed steps per grid cell
 # milliseconds of DCT pairs timed after each step, as perfbench/child.py samples its pace
 SAMPLE_MS = 2.0
+# the line tests/test_acceptance.py prints for each criterion
+GATE_LINE = re.compile(r"^\[(PASS|FAIL)\] criterion (\d+): .* \(([\d.]+)s / budget ([\d.e+-]+)s\)$", re.M)
 
 
 def git(checkout: Path, *args: str) -> str | None:
@@ -95,6 +99,12 @@ def perfbench(checkout: Path, workload: str, trace: int) -> dict:
         "result": result,
         "stderr": proc.stderr.strip()[-2000:] or None,
     }
+
+
+def gate_times(text: str) -> dict:
+    """{criterion: {status, seconds, budget}} from a test run's printed gate lines."""
+    return {int(n): {"status": status, "seconds": float(sec), "budget": float(budget)}
+            for status, n, sec, budget in GATE_LINE.findall(text)}
 
 
 def numpy_simd() -> dict | None:
@@ -191,6 +201,8 @@ def main(argv=None) -> int:
         report["perfbench"][workload] = {f"trace{trace}": perfbench(checkout, workload, trace) for trace in (0, 1)}
         print(f"{workload}: done", file=sys.stderr, flush=True)
     report["grid"] = time_grid(checkout)
+    output = checkout / "test_output.txt"
+    report["gate"] = gate_times(output.read_text()) if output.is_file() else None
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(report, indent=1) + "\n")
     print(path)
