@@ -112,15 +112,16 @@ def discrete_energy(u: Field, eps: float, potential, scratch: np.ndarray = None)
 
 
 def write_field_csv(u: Field, path) -> None:
-    """Field snapshot: header ``i,j,x,y,u``, one row per cell in storage order."""
+    """Field snapshot: header ``i,j,x,y,u``, one row per cell in storage order.
+    Each mesh row fills its j and y into one row's lines, built once, and its
+    u in by one ``%``: '%.17g' % v gives the bytes of format(v, '.17g')."""
     xg, yg = u.mesh.cell_centers()
-    xs = [f"{x:.17g}" for x in xg[0].tolist()]
+    lines = "".join(f"{i},\0,{x:.17g},\1,%.17g\n" for i, x in enumerate(xg[0].tolist()))
     try:
         with open(path, "w", newline="") as fh:
             fh.write("i,j,x,y,u\n")
-            for j, row in enumerate(u.grid().tolist()):
-                mid, y = f",{j},", f",{yg[j, 0]:.17g},"
-                fh.write("".join(f"{i}{mid}{x}{y}{v:.17g}\n" for i, (x, v) in enumerate(zip(xs, row))))
+            for j, (y, row) in enumerate(zip(yg[:, 0].tolist(), u.grid().tolist())):
+                fh.write(lines.replace("\0", str(j)).replace("\1", f"{y:.17g}") % tuple(row))
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
 

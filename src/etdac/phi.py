@@ -30,11 +30,11 @@ from math import factorial
 
 import numpy as np
 
-__all__ = ["phi", "phi_batch", "SMALL_ARG_THRESHOLD", "TAYLOR_TERMS", "SLICE"]
+__all__ = ["phi", "phi_batch", "cuts", "SMALL_ARG_THRESHOLD", "TAYLOR_TERMS", "SLICE"]
 
 SMALL_ARG_THRESHOLD = 0.5
 TAYLOR_TERMS = 30
-SLICE = 16384
+SLICE = 16384  # 128 KiB of float64 per array, so a slice of several arrays stays in a 2 MiB L2
 
 
 def _kahan_add(s, c, term):
@@ -116,13 +116,21 @@ def phi(j: int, z: float) -> float:
     return float(_phi_core(j, np.array([z], dtype=np.float64))[0])
 
 
+def cuts(n: int) -> list[slice]:
+    """range(n) as max(1, ceil(n / SLICE)) slices whose lengths differ by at
+    most one, never a short tail: a one-column matrix product goes through
+    BLAS's gemv and rounds otherwise than gemm on two or more columns."""
+    k = max(1, -(-n // SLICE))
+    return [slice(i * n // k, (i + 1) * n // k) for i in range(k)]
+
+
 def phi_batch(j: int, zs) -> np.ndarray:
     """Elementwise phi over an array of nonpositive arguments; identical to
-    scalar calls bit-for-bit.  The kernel runs on slices of SLICE values,
-    so its temporaries stay small whatever the array's size."""
+    scalar calls bit-for-bit.  The kernel runs on the slices of cuts, so
+    its temporaries stay small whatever the array's size."""
     zs = np.asarray(zs, dtype=np.float64)
     _check_args(j, zs)
     flat, out = zs.ravel(), np.empty(zs.size)
-    for start in range(0, flat.size, SLICE):
-        out[start : start + SLICE] = _phi_core(j, flat[start : start + SLICE])
+    for part in cuts(flat.size):
+        out[part] = _phi_core(j, flat[part])
     return out.reshape(zs.shape)

@@ -30,7 +30,7 @@ import scipy.fft
 
 from .diagnostics import MBP_TOL
 from .grid import Field, Mesh2D, max_norm
-from .phi import phi_batch
+from .phi import cuts, phi_batch
 from .scheme import SchemeSpec
 from .spectral import SpectralPlan
 
@@ -136,11 +136,11 @@ class StepContext:
     def nonlinearity(self, values: np.ndarray, out: np.ndarray = None) -> np.ndarray:
         """N(u) = f(u) + kappa u on raw values.
 
-        Given out, a field that is not values, N goes there and kappa u
-        through the workspace's tmp, so neither may be tmp.
+        Given out, at most a field and overlapping neither values nor the
+        workspace's tmp, N goes there and kappa u through tmp's first out.size values.
         """
         n = self.potential.f(values, out=out)
-        tmp = None if out is None else self.workspace.tmp.reshape(out.shape)
+        tmp = None if out is None else self.workspace.tmp.reshape(-1)[: out.size].reshape(out.shape)
         n += np.multiply(self.plan.kappa, values, out=tmp)
         return n
 
@@ -155,6 +155,7 @@ class Workspace:
     next such level.  The solve of level j takes spectra[2:j+2], dead once
     the level's stages are summed, and scratch[:j] as its two scratch
     arrays; tmp is the nonlinearity's, and acc and tmp rescale_factor's.
+    Between transforms a step runs slice by slice (phi.cuts), in cache.
     Every array is written in each step before it is read, so a step that
     raised leaves nothing the next one sees.
     """
@@ -210,13 +211,15 @@ def _spectra(poly: np.ndarray, alpha: Field, out: np.ndarray, held: bool = False
 
 def _stage_values(ctx: StepContext, s: float, spectra: np.ndarray, acc: np.ndarray) -> np.ndarray:
     """w_level(s) as flat values, level = len(spectra) - 1, from the spectra
-    of u_n and of the level's polynomial: sum_m phi_stack[m] * spectra[m],
-    in one pass in acc, then transformed in acc.  einsum's unoptimized sum
-    adds the terms in order of m, as a multiply-add loop would: bit for bit,
-    up to the sign of an exact zero, where numpy's einsum does not fuse a
-    multiply-add (x86-64 builds below an FMA3 baseline); NEON and
-    FMA3-baseline builds round each term's product and sum once."""
-    np.einsum("mij,mij->ij", ctx.phi_stack(s, len(spectra)), spectra, out=acc)
+    of u_n and of the level's polynomial: sum_m phi_stack[m] * spectra[m] in
+    acc, one pass per slice of cells (phi.cuts), then transformed in acc.
+    einsum's unoptimized sum adds the terms in order of m, as a multiply-add
+    loop would: bit for bit, up to the sign of an exact zero, where numpy's
+    einsum does not fuse a multiply-add (x86-64 builds below an FMA3
+    baseline); NEON and FMA3-baseline builds round each term's product and sum once."""
+    block, terms = ctx.phi_stack(s, len(spectra)).reshape(len(spectra), -1), spectra.reshape(len(spectra), -1)
+    for part in cuts(acc.size):
+        np.einsum("mi,mi->i", block[:, part], terms[:, part], out=acc.reshape(-1)[part])
     vals = scipy.fft.idctn(acc, type=2, norm="ortho", overwrite_x=True)
     return vals.reshape(ctx.plan.mesh.ncells)
 
@@ -261,10 +264,11 @@ def step(ctx: StepContext, u_n: Field, *, n: int = 1) -> tuple[Field, float]:
     if ctx.rescaled and max_norm(u_n) > ctx.potential.beta + MBP_TOL:
         raise ValueError("rescaled stepping requires max_norm(u_n) <= beta")
 
-    ws = ctx.workspace
+    ws, cells = ctx.workspace, cuts(mesh.ncells)
     n0, rows = ws.poly[0], (ws.acc.reshape(mesh.ncells), ws.tmp.reshape(mesh.ncells))
     try:
-        ctx.nonlinearity(u_n.values, out=n0)
+        for part in cells:
+            ctx.nonlinearity(u_n.values[part], out=n0[part])
     except ValueError as exc:
         raise BoundExceeded(0, 0, n) from exc
 
@@ -283,13 +287,15 @@ def step(ctx: StepContext, u_n: Field, *, n: int = 1) -> tuple[Field, float]:
                 if not _all_finite(w):
                     raise NumericalBlowup(j, k, n)
                 try:
-                    ctx.nonlinearity(w, out=poly[k])
+                    for part in cells:
+                        ctx.nonlinearity(w[part], out=poly[k, part])
+                        poly[k, part] -= n0[part]
                 except ValueError as exc:
                     raise BoundExceeded(j, k, n) from exc
-                poly[k] -= n0
             if j > 1:  # V_1 = [a_1] = [1], so level 1 takes c_1 = d_1 as it stands
-                scratch = (ws.spectra[2 : j + 2].reshape(j, mesh.ncells), ws.scratch[:j])
-                system.solve(poly[1:], out=poly[1:], scratch=scratch)
+                spare = ws.spectra[2 : j + 2].reshape(j, mesh.ncells)
+                for part in cells:  # slices of >= 2 columns keep the whole solve's bits
+                    system.solve(poly[1:, part], out=poly[1:, part], scratch=(spare[:, part], ws.scratch[:j, part]))
         # alpha, in tmp, unbound; spectra[1] still holds N(u_n)'s spectrum
         # after a level where alpha was one
         level_min = _spectra(poly, rescale_factor(mesh, poly, ctx.kappa_beta, flat_tol, rows) if ctx.rescaled
@@ -328,10 +334,11 @@ def rescale_factor(mesh: Mesh2D, poly: np.ndarray, kappa_beta: float, flat_tol: 
     if poly.ndim != 2 or poly.shape[1] != mesh.ncells:
         raise ValueError(f"poly must have one column per cell, {mesh.ncells}, got shape {poly.shape}")
     l1, alpha = np.empty((2, mesh.ncells)) if scratch is None else scratch
-    # row by row, so each column's sum is the same in any batch and layout
-    np.abs(poly[0], out=l1)
-    for row in poly[1:]:
-        l1 += np.abs(row, out=alpha)
+    # row by row, so each column's sum is the same in any batch and layout; a slice at a time, in cache
+    for part in cuts(mesh.ncells):
+        np.abs(poly[0, part], out=l1[part])
+        for row in poly[1:, part]:
+            l1[part] += np.abs(row, out=alpha[part])
     if not _all_finite(l1):
         raise ValueError("polynomial coefficients must be finite")
     alpha.fill(1.0)

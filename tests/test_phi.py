@@ -1,11 +1,15 @@
+import importlib
 import math
 
 import numpy as np
 import pytest
 
-from etdac.phi import SLICE, SMALL_ARG_THRESHOLD, phi, phi_batch
+from etdac.phi import SLICE, SMALL_ARG_THRESHOLD, cuts, phi, phi_batch
 from etdac.phi import _phi_forward, _phi_reciprocal, _phi_taylor
 from oracles import phi_reference
+
+# the module itself: etdac's own name phi is the function
+phi_module = importlib.import_module("etdac.phi")
 
 # frozen extended-precision reference values (series/direct oracle)
 FROZEN = [
@@ -157,6 +161,19 @@ class TestPhiBatch:
         batch = phi_batch(j, zs)
         assert batch.shape == zs.shape and zs.size > 2 * SLICE
         assert np.array_equal(batch, np.tile(scalars, (reps, 1)))
+
+    @pytest.mark.parametrize("n, size, lengths", [
+        (0, 64, [0]), (1, 64, [1]), (64, 64, [64]), (65, 64, [32, 33]), (129, 64, [43, 43, 43]),
+        (1200, 500, [400, 400, 400]), (262144, SLICE, [SLICE] * 16), (262145, SLICE, [15420] * 12 + [15421] * 5),
+    ])
+    def test_cuts_are_near_equal_and_cover_the_range(self, monkeypatch, n, size, lengths):
+        # ceil(n / SLICE) slices, never a short tail: the stepper's sliced
+        # solves keep the whole solve's bits only on slices of >= 2 columns
+        monkeypatch.setattr(phi_module, "SLICE", size)
+        parts = cuts(n)
+        assert sorted(p.stop - p.start for p in parts) == lengths
+        assert parts[0].start == 0 and parts[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(parts, parts[1:]))
 
 
 class TestPhiErrors:

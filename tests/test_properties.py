@@ -48,6 +48,22 @@ def test_field_csv_round_trips_exactly(data, nx, ny, lx, ly):
     assert np.array_equal(back.values, u.values)
 
 
+def test_field_csv_writes_special_values_as_format_does(tmp_path):
+    # where '%.17g' % v and format(v, '.17g') could part: NaN, the
+    # infinities, negative zero, the least subnormal, and 1e22, the first
+    # power of ten that %.17g writes with an exponent; a row of the
+    # template holds each of them, and so does a column
+    special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e22]
+    mesh = Mesh2D(1.0, 3.0, 6, 6)
+    u = Field(mesh, np.array([special[(i + j) % 6] for j in range(6) for i in range(6)]))
+    path = tmp_path / "u.csv"
+    write_field_csv(u, path)
+    text = path.read_text()
+    assert text == field_csv_by_loops(u)
+    assert {"nan", "inf", "-inf", "-0", "4.9406564584124654e-324", "1e+22"} == {
+        line.rsplit(",", 1)[1] for line in text.splitlines()[1:]}
+
+
 positive = st.floats(1e-6, 1e3)
 flags = st.fixed_dictionaries({}, optional={
     "--order": st.integers(1, 10),

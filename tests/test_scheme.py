@@ -140,6 +140,25 @@ class TestVandermonde:
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("kind", NODE_KINDS)
+    def test_column_slices_keep_the_whole_solve_s_bits(self, kind):
+        # step solves a level's (j, ncells) rows, a strided view of the
+        # polynomial, a slice of cells at a time, in place with scratch.  A
+        # slice of two or more columns goes through BLAS's gemm and gives
+        # the whole stack's bits; a one-column slice goes through gemv and
+        # does not, which is why phi.cuts never leaves a one-cell tail
+        rng = np.random.default_rng(len(kind))
+        for v in make_scheme(10, kind).systems:
+            poly = rng.standard_normal((v.r + 1, 301)) * 10.0 ** rng.integers(-3, 3, (1, 301))
+            want = v.solve(poly[1:])
+            for widths in ([2] * 149 + [3], [3, 5, 7, 11, 13, 262], [150, 151]):
+                got, res, scratch = poly.copy()[1:], np.empty((v.r, 301)), np.empty((v.r, 301))
+                bounds = np.cumsum([0] + widths)
+                assert bounds[-1] == 301
+                for a, b in zip(bounds, bounds[1:]):
+                    v.solve(got[:, a:b], out=got[:, a:b], scratch=(res[:, a:b], scratch[:, a:b]))
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("kind", NODE_KINDS)
     def test_level_one_system_is_the_identity(self, kind):
         # V_1 = [a_1] = [1], which is why step takes c_1 = d_1 without a solve
         for order in range(2, 11):

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from conftest import random_field, sinprod, traced_peak
 from etdac.diagnostics import record
 from etdac.grid import Field, Mesh2D, discrete_energy, max_norm
 from etdac.phi import phi_batch
+from etdac.potentials import FloryHuggins
 from etdac.scheme import NODE_KINDS, Vandermonde, make_nodes, make_scheme, tau_max
 from etdac.spectral import SpectralPlan, apply_phi
 from etdac.stepper import (
@@ -23,6 +25,9 @@ from etdac.stepper import (
     step,
 )
 from oracles import DenseOperator, brute_poly_max, dense_etdrk_step, duhamel_stage, exact_poly_max
+
+# the module itself, whose SLICE sizes the step's slices: etdac's own name phi is the function
+phi_module = importlib.import_module("etdac.phi")
 
 
 def _einsum_fuses() -> bool:
@@ -968,6 +973,58 @@ def test_step_equals_cascade_where_some_levels_shrink(monkeypatch, fh, tau, seed
     assert alpha_mins[0] == 1.0 and min(alpha_mins) < 1.0
     replayed, _ = replicate_cascade(ctx, u)
     assert np.array_equal(u1.values, replayed.values)
+
+
+def sliced_run(monkeypatch, size, mesh, potential, order, tau, rescaled, steps=5):
+    """The fields and alpha_mins of steps of a new context, with every slice
+    of phi.cuts, phi tables included, at most size cells long."""
+    monkeypatch.setattr(phi_module, "SLICE", size)
+    ctx = make_ctx(mesh, potential, order, tau, rescaled=rescaled)
+    run = [(random_field(mesh, 1, -potential.beta + 1e-12, potential.beta - 1e-12), 1.0)]
+    for n in range(1, steps + 1):
+        run.append(step(ctx, run[-1][0], n=n))
+    monkeypatch.undo()
+    return run
+
+
+class TestSlices:
+    """Between two transforms a step runs on the near-equal slices of
+    phi.cuts.  A slice of two or more cells keeps the unsliced step's bits;
+    a one-cell slice would not, as its solve goes through BLAS's gemv."""
+
+    @pytest.mark.parametrize("shape, size", [((40, 30), 64), ((40, 30), 500), ((13, 5), 64)],
+                             ids=["40x30-by-64", "40x30-by-500", "13x5-by-64"])
+    @pytest.mark.parametrize("potname, order, tau, rescaled", [
+        ("fh", 7, 1.0, True), ("gl", 5, 1.0, True), ("gl", 3, 0.1, False),
+    ], ids=["fh7-rescaled", "gl5-rescaled", "gl3-standard"])
+    def test_sliced_steps_equal_the_unsliced_ones(self, request, monkeypatch, shape, size, potname, order, tau,
+                                                  rescaled):
+        # 1200 cells by 64 are cut into 19 slices of 63 or 64, by 500 into 3
+        # of 400, and 65 by 64 into 32 + 33, not 64 + 1
+        mesh = Mesh2D(2 * np.pi, 2 * np.pi, *shape)
+        pot = request.getfixturevalue(potname)
+        args = (mesh, pot, order, tau, rescaled)
+        sliced, whole = sliced_run(monkeypatch, size, *args), sliced_run(monkeypatch, mesh.ncells, *args)
+        for (u, alpha), (v, beta) in zip(sliced, whole):
+            assert np.array_equal(u.values, v.values) and alpha == beta
+        if rescaled:  # not vacuous: these runs shrink
+            assert min(alpha for _, alpha in whole) < 1.0
+
+    @pytest.mark.parametrize("shape, size", [((40, 30), 64), ((13, 5), 64)], ids=["40x30", "13x5"])
+    def test_a_stage_out_of_domain_raises_alike_under_any_slicing(self, monkeypatch, shape, size):
+        # a hot well (theta near theta_c) has a small kappa_min, so a level-1
+        # stage of cells near 1 leaves (-1, 1); they lie in the last slice
+        fh = FloryHuggins(1.5, 1.6)
+        mesh = Mesh2D(2 * np.pi, 2 * np.pi, *shape)
+        u = random_field(mesh, 0, -0.3, 0.3)
+        u.values[-3:] = 0.99
+        failures = []
+        for slice_size in (size, mesh.ncells):
+            monkeypatch.setattr(phi_module, "SLICE", slice_size)
+            with pytest.raises(BoundExceeded) as info:
+                step(make_ctx(mesh, fh, 4, 10.0), u, n=3)
+            failures.append((info.value.level, info.value.stage, info.value.step_index))
+        assert failures == [(1, 1, 3)] * 2
 
 
 class TestWorkspace:
