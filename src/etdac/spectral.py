@@ -58,12 +58,14 @@ class SpectralPlan:
 
 
 def apply_phi(plan: SpectralPlan, j: int, s: float, v: Field) -> Field:
-    """phi_j(s L) v; j=0 gives the semigroup e^{sL}."""
+    """phi_j(s L) v; j=0 gives the semigroup e^{sL} as the step forms it, v + s phi_1(sL)(L v)."""
     if s <= 0:
         raise ValueError("s must be positive")
     if v.mesh != plan.mesh:
         raise ValueError("field mesh does not match the plan's mesh")
     coeffs = scipy.fft.dctn(v.grid(), type=2, norm="ortho")
-    coeffs *= phi_batch(j, s * plan.eigvals)
-    vals = scipy.fft.idctn(coeffs, type=2, norm="ortho")
-    return Field(plan.mesh, vals.reshape(plan.mesh.ncells))
+    if j == 0:
+        coeffs *= plan.eigvals
+    coeffs *= phi_batch(j or 1, s * plan.eigvals) * (s if j == 0 else 1.0)
+    vals = scipy.fft.idctn(coeffs, type=2, norm="ortho").reshape(plan.mesh.ncells)
+    return Field(plan.mesh, vals + v.values if j == 0 else vals)

@@ -4,12 +4,13 @@ The semilinear split is u_t = L u + N(u) with L = eps^2 Lap_h - kappa I and
 N = f + kappa I.  The order-r solution is built iteratively: the level-j
 stage function
 
-    w_j(s) = phi_0(sL) u_n + s phi_1(sL)[a N(u_n)]
+    w_j(s) = u_n + s phi_1(sL)[L u_n + a N(u_n)]
              + tau sum_{m=1}^{j-1} m! (s/tau)^{m+1} phi_{m+1}(sL)[a c_{j-1,m}]
 
 integrates the frozen interpolation polynomial
 P_{j-1}(s) = N(u_n) + sum_m c_{j-1,m} (s/tau)^m exactly through Duhamel's
-principle.  Sampling N at the level-j nodes and solving the Vandermonde
+principle, phi_0(sL) u_n written as u_n + s phi_1(sL) L u_n so that u_n skips
+the transforms.  Sampling N at the level-j nodes and solving the Vandermonde
 system V_j c_j = d_j yields the next polynomial, and u_{n+1} = w_r(tau).
 
 In rescaled mode each level's polynomial is shrunk pointwise by
@@ -101,27 +102,23 @@ class StepContext:
         self._workspace = None
 
     def phi_stack(self, s: float, rows: int) -> np.ndarray:
-        """The grids c * phi_j(s * eigvals), j < rows, as a (rows, ny, nx)
-        view of s's block, the cache's contiguous phi_0..phi_jmax at s.
+        """The grids c * phi_j(s * eigvals), j = 1..rows, as a (rows, ny, nx)
+        view of s's block, the cache's contiguous phi_1..phi_jmax at s.
 
-        c is the scalar of phi_j in the stage formula: 1 for j = 0, s for
-        j = 1 and tau (j-1)! (s/tau)^j for j >= 2.  Both act elementwise,
-        so tabulating on plan.values and gathering by plan.index is exact.
-        The first request for s builds its block for every j that phi_keys
-        gives for s, so no step rebuilds it; a request past it builds the
-        block again, whole, at the larger size.
+        c = tau (j-1)! (s/tau)^j, phi_j's scalar in the stage formula, and
+        phi_j act elementwise, so tabulating on plan.values and gathering by
+        plan.index is exact.  The first request for s builds its block for
+        every j that phi_keys gives for s, so no step rebuilds it; a request
+        past it builds the block again, whole, at the larger size.
         """
         s = float(s)
         block = self._phi_blocks.get(s)
         if block is None or len(block) < rows:
-            size = max([rows] + [j + 1 for j, t in phi_keys(self.spec, self.tau) if t == s])
+            size = max([rows] + [j for j, t in phi_keys(self.spec, self.tau) if t == s])
             block = self._phi_blocks[s] = np.empty((size, *self.plan.index.shape))
-            for j, grid in enumerate(block):
+            for j, grid in enumerate(block, 1):
                 table = phi_batch(j, s * self.plan.values)
-                if j == 1:
-                    table *= s
-                elif j > 1:
-                    table *= self.tau * math.factorial(j - 1) * (s / self.tau) ** j
+                table *= self.tau * math.factorial(j - 1) * (s / self.tau) ** j
                 # the index is in range; mode "raise" would gather through a temporary
                 np.take(table, self.plan.index, out=grid, mode="clip")
         return block[:rows]
@@ -148,13 +145,14 @@ class StepContext:
 class Workspace:
     """The field-sized arrays of a step, 3r + 2 fields at order r.
 
-    spectra[0] is u_n's spectrum and spectra[1:j+2] level j's, so that a
-    stage sums the one slice spectra[:j+1] against a phi block in acc.
-    poly[:j+1] is level j's polynomial, row 0 N(u_n) at every level, whose
-    spectrum stays in spectra[1] from a level where alpha is one to the
-    next such level.  The solve of level j takes spectra[2:j+2], dead once
-    the level's stages are summed, and scratch[:j] as its two scratch
-    arrays; tmp is the nonlinearity's, and acc and tmp rescale_factor's.
+    spectra[0] is lambda DCT(u_n), L u_n's spectrum, and spectra[1:j+2]
+    level j's, row 1 g = spectra[0] + DCT(alpha N(u_n)), so that a stage
+    sums the one slice spectra[1:j+1] against a phi block in acc.
+    poly[:j+1] is level j's polynomial, row 0 N(u_n) at every level; g
+    stays in spectra[1] from a level where alpha is one to the next such
+    level.  The solve of level j takes spectra[2:j+2], dead once the
+    level's stages are summed, and scratch[:j] as its two scratch arrays;
+    tmp is the nonlinearity's, and acc and tmp rescale_factor's.
     Between transforms a step runs slice by slice (phi.cuts), in cache.
     Every array is written in each step before it is read, so a step that
     raised leaves nothing the next one sees.
@@ -171,15 +169,15 @@ def phi_keys(spec: SchemeSpec, tau: float) -> set[tuple[int, float]]:
     """The (j, s) grids a step of spec at tau reads from the phi cache: one
     cached row each, known before any plan or field exists.
 
-    A level-j stage at s reads phi_0..phi_j, and the final stage at
-    s = tau reads phi_0..phi_r; s is computed as step computes it.
+    A level-j stage at s reads phi_1..phi_j, and the final stage at
+    s = tau reads phi_1..phi_r; s is computed as step computes it.
     """
     tau = float(tau)
-    keys = {(j, tau) for j in range(spec.order + 1)}
+    keys = {(j, tau) for j in range(1, spec.order + 1)}
     for level, system in zip(spec.levels, spec.systems):
         for k in range(1, level + 1):
             s = float(system.nodes[k] * tau)
-            keys.update((j, s) for j in range(level + 1))
+            keys.update((j, s) for j in range(1, level + 1))
     return keys
 
 
@@ -190,29 +188,29 @@ def _dct(grid: np.ndarray) -> np.ndarray:
 
 def _spectra(poly: np.ndarray, alpha: Field, out: np.ndarray, held: bool = False) -> float:
     """alpha's minimum, with the spectra of alpha * poly's rows computed in
-    out, a (len(poly), ny, nx) array.
+    out[1:], out[0] = lambda DCT(u_n) added to row 0's (see Workspace).
 
     poly is a level's (level+1, ncells) polynomial: row 0 the unscaled
     N(u_n), row m the coefficient c_m of (s/tau)^m.  alpha is the
     pointwise factor, None for one at every point.  Where alpha_min is
     one, 1.0 * poly is poly, so the rows go unscaled, and held says that
-    out[0] holds row 0's spectrum already, which is then not transformed.
+    out[1] holds g already, which is then not transformed.
     """
     alpha_min = 1.0 if alpha is None else float(alpha.values.min())
-    flat, first = out.reshape(len(poly), -1), int(held and alpha_min == 1.0)
-    if alpha_min != 1.0:
-        np.multiply(alpha.values, poly, out=flat)
-    else:
-        flat[first:] = poly[first:]
-    for row in out[first:]:
+    first = int(held and alpha_min == 1.0)
+    flat = out[1 + first :].reshape(len(poly) - first, -1)
+    np.multiply(1.0 if alpha_min == 1.0 else alpha.values, poly[first:], out=flat)
+    for row in out[1 + first :]:
         _dct(row)
+    if not first:
+        out[1] += out[0]
     return alpha_min
 
 
 def _stage_values(ctx: StepContext, s: float, spectra: np.ndarray, acc: np.ndarray) -> np.ndarray:
-    """w_level(s) as flat values, level = len(spectra) - 1, from the spectra
-    of u_n and of the level's polynomial: sum_m phi_stack[m] * spectra[m] in
-    acc, one pass per slice of cells (phi.cuts), then transformed in acc.
+    """w_level(s) - u_n as flat values, level = len(spectra), from the spectra of
+    the level's polynomial, row 0 g (see Workspace): sum_m phi_stack[m] * spectra[m]
+    in acc, one pass per slice of cells (phi.cuts), then transformed in acc.
     einsum's unoptimized sum adds the terms in order of m, as a multiply-add
     loop would: bit for bit, up to the sign of an exact zero, where numpy's
     einsum does not fuse a multiply-add (x86-64 builds below an FMA3
@@ -234,9 +232,10 @@ def evaluate_stage(ctx: StepContext, s: float, u_n: Field, poly: np.ndarray, alp
     if poly.ndim != 2 or poly.shape[1] != u_n.mesh.ncells:
         raise ValueError(f"poly must have one column per cell, {u_n.mesh.ncells}, got shape {poly.shape}")
     spectra = np.empty((len(poly) + 1, u_n.mesh.ny, u_n.mesh.nx))
-    spectra[0] = _dct(u_n.grid().copy())
-    _spectra(poly, alpha, spectra[1:])
-    return Field(u_n.mesh, _stage_values(ctx, s, spectra, np.empty((u_n.mesh.ny, u_n.mesh.nx))))
+    spectra[0] = _dct(u_n.grid().copy()) * ctx.plan.eigvals
+    _spectra(poly, alpha, spectra)
+    increment = _stage_values(ctx, s, spectra[1:], np.empty((u_n.mesh.ny, u_n.mesh.nx)))
+    return Field(u_n.mesh, increment + u_n.values)
 
 
 def _all_finite(values: np.ndarray) -> bool:
@@ -274,6 +273,7 @@ def step(ctx: StepContext, u_n: Field, *, n: int = 1) -> tuple[Field, float]:
 
     ws.spectra[0].reshape(mesh.ncells)[...] = u_n.values
     _dct(ws.spectra[0])
+    ws.spectra[0] *= np.take(ctx.plan.values, ctx.plan.index, out=ws.acc, mode="clip")
 
     alpha_min, flat_tol, level_min = 1.0, _FLAT_TOL, None
     for j in range(ctx.spec.order):
@@ -283,7 +283,8 @@ def step(ctx: StepContext, u_n: Field, *, n: int = 1) -> tuple[Field, float]:
             # the flat test's tolerance: at least the rounding the solve leaves in c
             flat_tol = max(_FLAT_TOL, system.roundoff)
             for k in range(1, j + 1):
-                w = _stage_values(ctx, system.nodes[k] * ctx.tau, ws.spectra[: j + 1], ws.acc)
+                w = _stage_values(ctx, system.nodes[k] * ctx.tau, ws.spectra[1 : j + 1], ws.acc)
+                w += u_n.values
                 if not _all_finite(w):
                     raise NumericalBlowup(j, k, n)
                 try:
@@ -296,13 +297,14 @@ def step(ctx: StepContext, u_n: Field, *, n: int = 1) -> tuple[Field, float]:
                 spare = ws.spectra[2 : j + 2].reshape(j, mesh.ncells)
                 for part in cells:  # slices of >= 2 columns keep the whole solve's bits
                     system.solve(poly[1:, part], out=poly[1:, part], scratch=(spare[:, part], ws.scratch[:j, part]))
-        # alpha, in tmp, unbound; spectra[1] still holds N(u_n)'s spectrum
-        # after a level where alpha was one
+        # alpha, in tmp, unbound; spectra[1] still holds g after a level
+        # where alpha was one
         level_min = _spectra(poly, rescale_factor(mesh, poly, ctx.kappa_beta, flat_tol, rows) if ctx.rescaled
-                             else None, ws.spectra[1 : j + 2], level_min == 1.0)
+                             else None, ws.spectra[: j + 2], level_min == 1.0)
         alpha_min = min(alpha_min, level_min)
 
-    out = _stage_values(ctx, ctx.tau, ws.spectra, np.empty((mesh.ny, mesh.nx)))
+    out = _stage_values(ctx, ctx.tau, ws.spectra[1:], np.empty((mesh.ny, mesh.nx)))
+    out += u_n.values
     if not _all_finite(out):
         raise NumericalBlowup(ctx.spec.order, ctx.spec.order, n)
     return Field(mesh, out), alpha_min

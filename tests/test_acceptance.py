@@ -78,19 +78,20 @@ def test_criterion_02_step_size_thresholds(capsys):
 
 
 def test_criterion_03_temporal_convergence_orders(capsys):
-    # Known failure at r=5, kept as stated rather than loosened: on this
-    # benchmark the order-5 temporal error extrapolates to ~1.4e-13 at the
-    # finest rung, below the ~1e-12 float64 roundoff accumulated over the
-    # 640-step run and 5120-step reference, so the finest-pair ratio is
-    # noise over noise.  Measured Linf ladder (tau = 0.1/2^k, k=0..5):
-    #   r=3: 1.118e-3 .. 4.270e-8, rates 2.833 2.912 2.957 2.979 2.992  PASS
-    #   r=4: 7.303e-5 .. 8.792e-11, rates 3.818 3.914 3.961 3.984 4.006 PASS
-    #   r=5: 3.870e-6, 1.379e-7, 4.599e-9, 1.473e-10, 3.693e-12, 1.102e-12
-    #        rates 4.811 4.906 4.965 5.317 1.745                        FAIL
+    # The order-5 finest rung's error, 1.5e-13, lies close to float64
+    # roundoff over the 640-step run and 5120-step reference, so the r=5
+    # pair holds only because each stage is u_n plus an increment: u_n
+    # never goes through the DCT pair, only the O(tau) increment does.
+    # Measured Linf ladder (tau = 0.1/2^k, k=0..5):
+    #   r=3: 1.118e-3 .. 4.270e-8, rates 2.833 2.915 2.958 2.979 2.992
+    #   r=4: 7.303e-5 .. 8.903e-11, rates 3.818 3.908 3.954 3.977 3.989
+    #   r=5: 3.870e-6, 1.379e-7, 4.600e-9, 1.486e-10, 4.720e-12, 1.493e-13
+    #        rates 4.811 4.905 4.953 4.976 4.983 (l2: 4.988)
     # Measured floor at r=5: the 2560- and 5120-step runs, whose truncation
-    # errors are both below ~1e-16, differ by 7.8e-13 (Linf) and 1.7e-12
-    # (l2).  The reference alone carries as much roundoff as the 1.10e-12
-    # error being measured on the 640-step rung.
+    # errors are both below ~1e-16, differ by 1.7e-15 (Linf) and 2.6e-15
+    # (l2).  Written as phi_0(sL) u_n + ..., a stage sends u_n through the
+    # DCT pair once per step and picks up its bias: the two runs then
+    # differ by 7.8e-13, and the r=5 finest pair reads 1.74/2.07.
     # Order-5 stepping itself is verified against a dense-eigendecomposition
     # oracle at 1e-10 relative in criterion 8.
     t0 = time.perf_counter()
@@ -288,3 +289,37 @@ def test_criterion_10_polynomial_maximum_vs_brute_force(capsys):
     report(capsys, 10, "10^4 random polynomial maxima within 1e-10 of the "
            f"10^5-point sampling and never below it (range [{low:.1e}, {high:.1e}])",
            ok, elapsed, 30.0)
+
+
+def test_criterion_11_convergence_orders_past_five(capsys):
+    # Orders 7 and 8 on a 32^2 mesh, where a rung costs little: GL,
+    # sinprod(0.5), rescaled, t = 2, tau = 0.4/2^k against tau = 0.003125.
+    # r = 7 is still pre-asymptotic on this ladder, so the bound is
+    # r - 0.5.  Measured finest pairs (Linf / l2): r=7: 6.74/6.89,
+    # r=8: 7.78/7.92, with the finest errors at 4.3e-15 and 4.2e-15.  A
+    # step that sends u_n itself through the DCT pair stalls near 6e-14
+    # and reads r=7: 3.09/3.81, r=8: 3.60/4.44.
+    t0 = time.perf_counter()
+    mesh = mesh_square(32)
+    pot = GinzburgLandau()
+    plan = SpectralPlan(mesh, 0.1, pot.kappa_min)
+    u0 = sinprod(mesh, 0.5)
+    t_end, tau_ref = 2.0, 0.003125
+    ok = True
+    rates = {}
+    for order, kind, rungs in ((7, "uniform", 6), (8, "chebyshev", 5)):
+        spec = make_scheme(order, kind)
+        ref = integrate(StepContext(plan, pot, spec, tau_ref, rescaled=True), u0, round(t_end / tau_ref))
+        errs = []
+        for tau in (0.4 * 2.0**-k for k in range(rungs)):
+            u = integrate(StepContext(plan, pot, spec, tau, rescaled=True), u0, round(t_end / tau))
+            diff = Field(mesh, u.values - ref.values)
+            errs.append((max_norm(diff), l2_norm(diff)))
+        pair = (math.log2(errs[-2][0] / errs[-1][0]),
+                math.log2(errs[-2][1] / errs[-1][1]))
+        rates[order] = pair
+        ok = ok and pair[0] >= order - 0.5 and pair[1] >= order - 0.5
+    elapsed = time.perf_counter() - t0
+    shown = ", ".join(f"r={o}: {p[0]:.2f}/{p[1]:.2f}" for o, p in rates.items())
+    report(capsys, 11, "finest-pair convergence rates of uniform r=7 and Chebyshev "
+           f"r=8 within 0.5 of the formal orders in both norms ({shown})", ok, elapsed, 30.0)

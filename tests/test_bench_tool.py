@@ -28,8 +28,8 @@ def test_a_grid_cell_times_steps_beside_dct_pairs(bench, potential, rescaled):
     assert "error" not in cell
     assert (cell["potential"], cell["order"], cell["n"]) == (potential, 3, 16)
     assert cell["mode"] == ("rescaled" if rescaled else "standard")
-    # order 3 caches 7 grids of 16^2 cells
-    assert cell["phi_cache_bytes"] == 7 * 8 * 256
+    # order 3 caches 5 grids of 16^2 cells
+    assert cell["phi_cache_bytes"] == 5 * 8 * 256
     assert len(cell["steps_ms"]) == len(cell["pairs_ms"]) == bench.STEPS and cell["step_ms"] > 0 and cell["dct_pair_ms"] > 0
     # each step is read against the DCT pairs timed right after it
     ratios = [m / p for m, p in zip(cell["steps_ms"], cell["pairs_ms"])]

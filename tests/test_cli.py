@@ -157,7 +157,7 @@ class TestExitCodes:
         ["converge", "--grid", "8", "--taus", "1e-300,2e-300,4e-300"],
         ["converge", "--grid", "8", "--taus", "1e-320,2e-320,4e-320"],
         ["energy-test", "--grid", "8", "--t-end", "1e300"],
-        # 173 phi grids of 8 MiB, past cli.MAX_PHI_CACHE_BYTES
+        # 151 phi grids of 8 MiB, past cli.MAX_PHI_CACHE_BYTES
         ["run", "--grid", "1024", "--order", "9", "--t-end", "0.1"],
         # eps^2 overflows, so the spectrum is not finite
         ["run", "--grid", "8", "--eps", "1e300"],
@@ -178,7 +178,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         ["run", "--grid", "100000"],
-        # 2 phi grids of 128 MiB fit the cache budget; 4097^2 cells do not
+        # 1 phi grid of 128 MiB fits the cache budget; 4097^2 cells do not
         ["run", "--grid", "4097", "--order", "1"],
         # at 2048^2 the r = 3 and 5 runs fit the cache budget, r = 7 does not
         ["mbp-test", "--potential", "fh", "--grid", "2048"],

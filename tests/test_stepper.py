@@ -521,21 +521,25 @@ class TestStepContext:
         assert np.array_equal(out, ctx.nonlinearity(u))
 
     def test_phi_grids_are_memoized(self, mesh8, gl):
-        # each grid is cached already multiplied by its stage-formula scalar,
-        # bit for bit phi_batch on every cell of the eigenvalue grid, on a
-        # square mesh and on one whose eigenvalues are not symmetric; a
-        # repeated request returns the same memory, a row of its s's block.
-        # At s = 0.05, which no step reads, each request in order of j
-        # builds the block again, one row longer
+        # row m of s's block is phi_{m+1}, cached already multiplied by its
+        # stage-formula scalar tau m! (s/tau)^{m+1}: bit for bit phi_batch on
+        # every cell of the eigenvalue grid, on a square mesh and on one
+        # whose eigenvalues are not symmetric; a repeated request returns
+        # the same memory, a row of its s's block.  At s = 0.05, a stage
+        # time of levels 2 and 4 whose block holds phi_1..phi_4, the request
+        # for phi_5 builds the block again, one row longer
         tau = 0.1
         for mesh in (mesh8, Mesh2D(2 * np.pi, np.pi, 12, 8)):
             ctx = make_ctx(mesh, gl, 5, tau)
-            for j, s in sorted(phi_keys(ctx.spec, tau) | {(j, 0.05) for j in range(5)}):
-                c = 1.0 if j == 0 else s if j == 1 else tau * math.factorial(j - 1) * (s / tau) ** j
-                grid, again = ctx.phi_stack(s, j + 1)[j], ctx.phi_stack(s, j + 1)[j]
+            assert len(ctx.phi_stack(0.05, 1).base) == 4
+            for j, s in sorted(phi_keys(ctx.spec, tau) | {(j, 0.05) for j in range(1, 6)}):
+                m = j - 1
+                c = tau * math.factorial(m) * (s / tau) ** (m + 1)
+                grid, again = ctx.phi_stack(s, j)[m], ctx.phi_stack(s, j)[m]
                 assert grid.ctypes.data == again.ctypes.data and grid.shape == again.shape == (mesh.ny, mesh.nx)
                 assert grid.base is ctx._phi_blocks[s]
                 assert np.array_equal(grid, c * phi_batch(j, s * ctx.plan.eigvals))
+            assert len(ctx._phi_blocks[0.05]) == 5
 
     @pytest.mark.parametrize("kind", ["uniform", "chebyshev"])
     @pytest.mark.parametrize("order", range(1, 8))
@@ -550,8 +554,8 @@ class TestStepContext:
         keys = phi_keys(ctx.spec, 0.3)
         u, _ = step(ctx, sinprod(mesh8), n=1)
         blocks = dict(ctx._phi_blocks)
-        assert keys == {(j, s) for s, block in blocks.items() for j in range(len(block))}
-        assert len(keys) == {3: 7, 5: 29, 7: 77}.get(order, len(keys)) == len(calls)
+        assert keys == {(j, s) for s, block in blocks.items() for j in range(1, len(block) + 1)}
+        assert len(keys) == {3: 5, 5: 23, 7: 65}.get(order, len(keys)) == len(calls)
         step(ctx, u, n=2)
         assert all(ctx._phi_blocks[s] is block for s, block in blocks.items()) and len(ctx._phi_blocks) == len(blocks)
         assert len(calls) == len(keys)
@@ -722,6 +726,16 @@ class TestStep:
         for wrong in (stepper._FLAT_TOL, ctx.spec.systems[4].roundoff, Vandermonde(make_nodes(7)).roundoff):
             monkeypatch.setattr(ctx.spec.systems[5], "roundoff", wrong)
             assert any(not np.array_equal(step(ctx, run[n - 1], n=n)[0].values, run[n].values) for n in range(1, 21))
+
+    @pytest.mark.parametrize("rescaled", [False, True])
+    @pytest.mark.parametrize("potname, order", [(p, r) for p in ("gl", "fh") for r in (1, 3, 7)])
+    def test_a_vanishing_step_returns_u_n_bit_for_bit(self, request, potname, order, rescaled):
+        # u_n skips the transforms: only the increment, here far below half
+        # an ulp of every value, goes through the DCT pair and its rounding
+        mesh = Mesh2D(2 * np.pi, np.pi, 12, 8)
+        ctx = make_ctx(mesh, request.getfixturevalue(potname), order, 1e-300, rescaled=rescaled)
+        u = sinprod(mesh, 0.5)
+        assert np.array_equal(step(ctx, u)[0].values, u.values)
 
     @pytest.mark.parametrize("rescaled", [False, True])
     def test_level_one_takes_its_data_without_a_solve(self, monkeypatch, mesh8, gl, rescaled):
