@@ -31,9 +31,9 @@ __all__ = ["main"]
 
 # far beyond any run this solver can finish; a larger plan is a mistyped tau
 MAX_STEPS = 10**7
-# bytes of phi grids one step context may cache, 8 nx ny each: at 1024^2
-# this admits order 8 (108 grids, 864 MiB) and refuses orders 9 and 10
-# (151 and 212 grids); at 512^2 it admits every order
+# bytes of phi grids one step context may cache, 8 nx ny each, pads aside:
+# at 1024^2 this admits order 8 (108 grids, 864 MiB) and refuses orders 9
+# and 10 (151 and 212 grids); at 512^2 it admits every order
 MAX_PHI_CACHE_BYTES = 2**30
 # cells a grid may have, 4096^2, where one field takes 128 MiB.  The one
 # live step context holds the plan (12 nx ny bytes or less), its phi grids

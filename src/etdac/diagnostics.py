@@ -57,8 +57,8 @@ def record(ctx, n: int, u: Field, prev_energy: float = None, *, alpha_min: float
     """Measure one state; prev_energy=None marks a state with no predecessor."""
     if t is None:
         t = n * ctx.tau
-    # the energy's differences go through ctx's acc row; its reshape raises unless u has ctx's cells
-    mn, row = max_norm(u), ctx.workspace.acc.reshape(u.mesh.ncells)
+    # the energy's differences and F go through ctx's tmp row; its reshape raises unless u has ctx's cells
+    mn, row = max_norm(u), ctx.workspace.tmp.reshape(u.mesh.ncells)
     try:
         energy = discrete_energy(u, ctx.plan.eps, ctx.potential, row)
     except ValueError:

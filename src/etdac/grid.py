@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .phi import cuts
+
 __all__ = [
     "Mesh2D",
     "Field",
@@ -95,7 +97,8 @@ def discrete_energy(u: Field, eps: float, potential, scratch: np.ndarray = None)
     through summation by parts, so discrete dissipation statements are
     self-consistent.  Raises the potential's domain error when F is
     undefined (logarithmic potential with |u| >= 1).  scratch, a flat
-    (ncells,) array other than u's, takes each squared difference field.
+    (ncells,) array other than u's, takes each squared difference field,
+    then F(u), a slice at a time (phi.cuts).
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -107,7 +110,9 @@ def discrete_energy(u: Field, eps: float, potential, scratch: np.ndarray = None)
         d = np.subtract(hi, lo, out=scratch[: hi.size].reshape(hi.shape))
         d /= h
         grad2 += np.sum(np.multiply(d, d, out=d))
-    bulk = np.sum(potential.F(g))
+    for part in cuts(mesh.ncells):
+        potential.F(u.values[part], out=scratch[part])
+    bulk = np.sum(scratch)
     return mesh.hx * mesh.hy * float(0.5 * eps * eps * grad2 + bulk)
 
 

@@ -116,11 +116,12 @@ def phi(j: int, z: float) -> float:
     return float(_phi_core(j, np.array([z], dtype=np.float64))[0])
 
 
-def cuts(n: int) -> list[slice]:
-    """range(n) as max(1, ceil(n / SLICE)) slices whose lengths differ by at
-    most one, never a short tail: a one-column matrix product goes through
-    BLAS's gemv and rounds otherwise than gemm on two or more columns."""
-    k = max(1, -(-n // SLICE))
+def cuts(n: int, width: int = 1) -> list[slice]:
+    """range(n), n rows of width cells, as max(1, ceil(n width / SLICE))
+    slices whose lengths differ by at most one, never a short tail: a
+    one-column matrix product goes through BLAS's gemv and rounds otherwise
+    than gemm on two or more columns."""
+    k = max(1, -(-n * width // SLICE))
     return [slice(i * n // k, (i + 1) * n // k) for i in range(k)]
 
 

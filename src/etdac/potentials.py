@@ -31,10 +31,11 @@ class GinzburgLandau:
         res *= u
         return _result(np.subtract(u, res, out=res))
 
-    def F(self, u):
-        u = np.asarray(u, dtype=np.float64)
-        w = 1.0 - u * u
-        return 0.25 * w * w
+    def F(self, u, out=None):
+        """0.25 w w with w = 1 - u u, into out (not u itself) when given."""
+        u, res = _operands(u, out)
+        w = np.subtract(1.0, np.multiply(u, u, out=res), out=res)
+        return _result(np.multiply(np.multiply(0.25, w, out=np.empty_like(w)), w, out=res))
 
     def f_prime(self, u):
         u = np.asarray(u, dtype=np.float64)
@@ -82,10 +83,16 @@ class FloryHuggins:
         res += np.multiply(self.theta_c, u, out=tmp)
         return _result(res)
 
-    def F(self, u):
-        u = np.asarray(u, dtype=np.float64)
+    def F(self, u, out=None):
+        """F in the order of the formula above, into out (not u itself) when given."""
+        u, res = _operands(u, out)
         self._check_domain(u)
-        return 0.5 * self.theta * ((1.0 + u) * np.log(1.0 + u) + (1.0 - u) * np.log(1.0 - u)) - 0.5 * self.theta_c * u * u
+        v, log_v = np.empty_like(res), np.empty_like(res)
+        np.multiply(np.add(1.0, u, out=res), np.log(np.add(1.0, u, out=log_v), out=log_v), out=res)
+        res += np.multiply(np.subtract(1.0, u, out=v), np.log(v, out=log_v), out=v)
+        res *= 0.5 * self.theta
+        res -= np.multiply(np.multiply(0.5 * self.theta_c, u, out=v), u, out=v)
+        return _result(res)
 
     def f_prime(self, u):
         u = np.asarray(u, dtype=np.float64)

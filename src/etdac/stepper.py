@@ -100,6 +100,8 @@ class StepContext:
         self.kappa_beta = plan.kappa * potential.beta
         self._phi_blocks: dict[float, np.ndarray] = {}
         self._workspace = None
+        self._index = _padded(1, plan.mesh)[0].astype(np.int32)  # 0 in the pad
+        self._index[:, : plan.mesh.nx] = plan.index
 
     def phi_stack(self, s: float, rows: int) -> np.ndarray:
         """The grids c * phi_j(s * eigvals), j = 1..rows, as a (rows, ny, nx)
@@ -134,10 +136,10 @@ class StepContext:
         """N(u) = f(u) + kappa u on raw values.
 
         Given out, at most a field and overlapping neither values nor the
-        workspace's tmp, N goes there and kappa u through tmp's first out.size values.
+        workspace's acc, N goes there and kappa u through acc's first out.size values.
         """
         n = self.potential.f(values, out=out)
-        tmp = None if out is None else self.workspace.tmp.reshape(-1)[: out.size].reshape(out.shape)
+        tmp = None if out is None else self.workspace.acc.reshape(-1)[: out.size].reshape(out.shape)
         n += np.multiply(self.plan.kappa, values, out=tmp)
         return n
 
@@ -150,17 +152,19 @@ class Workspace:
     sums the one slice spectra[1:j+1] against a phi block in acc.
     poly[:j+1] is level j's polynomial, row 0 N(u_n) at every level; g
     stays in spectra[1] from a level where alpha is one to the next such
-    level.  The solve of level j takes spectra[2:j+2], dead once the
+    level.  acc and spectra are one padded stack (_padded).  The solve of
+    level j takes spectra[2:j+2]'s first j ncells values, dead once the
     level's stages are summed, and scratch[:j] as its two scratch arrays;
-    tmp is the nonlinearity's, and acc and tmp rescale_factor's.
-    Between transforms a step runs slice by slice (phi.cuts), in cache.
-    Every array is written in each step before it is read, so a step that
-    raised leaves nothing the next one sees.
+    a stage's values go from acc to tmp; acc's first ncells values are the
+    nonlinearity's scratch, and they and tmp rescale_factor's.  Between
+    transforms a step runs slice by slice (phi.cuts), in cache.  Every array
+    is written in each step before it is read, so a step that raised leaves
+    nothing the next one sees.
     """
 
     def __init__(self, mesh: Mesh2D, order: int):
-        self.acc, self.tmp = np.empty((2, mesh.ny, mesh.nx))
-        self.spectra = np.empty((order + 1, mesh.ny, mesh.nx))
+        stack = _padded(order + 2, mesh)
+        self.acc, self.spectra, self.tmp = stack[0], stack[1:], np.empty((mesh.ny, mesh.nx))
         self.poly = np.empty((order, mesh.ncells))
         self.scratch = np.empty((order - 1, mesh.ncells))
 
@@ -181,14 +185,29 @@ def phi_keys(spec: SchemeSpec, tau: float) -> set[tuple[int, float]]:
     return keys
 
 
+def _padded(rows: int, mesh: Mesh2D) -> np.ndarray:
+    """A zeroed (rows, ny, stride) stack, stride nx rounded up to an odd
+    number of 64-byte lines, transformed on its [..., :nx] views: rows of
+    2^k lines (4 KiB at 512^2) would put every row a DCT's column pass
+    gathers in a few cache sets.  Pads never reach a result."""
+    return np.zeros((rows, mesh.ny, 8 * (-(-mesh.nx // 8) | 1)))
+
+
 def _dct(grid: np.ndarray) -> np.ndarray:
-    """The DCT of a (ny, nx) array, computed in it."""
+    """The DCT of a (ny, nx) array or padded view, computed in it."""
     return scipy.fft.dctn(grid, type=2, norm="ortho", overwrite_x=True)
+
+
+def _u_hat(ctx: StepContext, u_n: Field, out: np.ndarray) -> None:
+    """lambda DCT(u_n) in out, a padded row, the eigenvalues gathered in the workspace's acc."""
+    np.copyto(out[:, : u_n.mesh.nx], u_n.grid())
+    _dct(out[:, : u_n.mesh.nx])
+    out *= np.take(ctx.plan.values, ctx._index, out=ctx.workspace.acc, mode="clip")
 
 
 def _spectra(poly: np.ndarray, alpha: Field, out: np.ndarray, held: bool = False) -> float:
     """alpha's minimum, with the spectra of alpha * poly's rows computed in
-    out[1:], out[0] = lambda DCT(u_n) added to row 0's (see Workspace).
+    out[1:], a padded stack, out[0] = lambda DCT(u_n) added to row 0's (see Workspace).
 
     poly is a level's (level+1, ncells) polynomial: row 0 the unscaled
     N(u_n), row m the coefficient c_m of (s/tau)^m.  alpha is the
@@ -198,28 +217,33 @@ def _spectra(poly: np.ndarray, alpha: Field, out: np.ndarray, held: bool = False
     """
     alpha_min = 1.0 if alpha is None else float(alpha.values.min())
     first = int(held and alpha_min == 1.0)
-    flat = out[1 + first :].reshape(len(poly) - first, -1)
-    np.multiply(1.0 if alpha_min == 1.0 else alpha.values, poly[first:], out=flat)
-    for row in out[1 + first :]:
+    grids = poly[first:].reshape(len(poly) - first, out.shape[1], -1)
+    views = out[1 + first :, :, : grids.shape[2]]
+    if alpha_min == 1.0:  # neither copies through a buffer, as a ufunc across layouts would
+        np.copyto(views, grids)
+    else:
+        np.einsum("ij,mij->mij", alpha.grid(), grids, out=views)
+    for row in views:
         _dct(row)
     if not first:
         out[1] += out[0]
     return alpha_min
 
 
-def _stage_values(ctx: StepContext, s: float, spectra: np.ndarray, acc: np.ndarray) -> np.ndarray:
-    """w_level(s) - u_n as flat values, level = len(spectra), from the spectra of
-    the level's polynomial, row 0 g (see Workspace): sum_m phi_stack[m] * spectra[m]
-    in acc, one pass per slice of cells (phi.cuts), then transformed in acc.
+def _stage_values(ctx: StepContext, s: float, spectra: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """w_level(s) - u_n in out, an (ny, nx) array, returned flat, level = len(spectra),
+    from the padded spectra of the level's polynomial, row 0 g (see Workspace):
+    sum_m phi_stack[m] * spectra[m] in the workspace's acc, one pass per slice of
+    rows (phi.cuts), transformed there and copied out.
     einsum's unoptimized sum adds the terms in order of m, as a multiply-add
     loop would: bit for bit, up to the sign of an exact zero, where numpy's
     einsum does not fuse a multiply-add (x86-64 builds below an FMA3
     baseline); NEON and FMA3-baseline builds round each term's product and sum once."""
-    block, terms = ctx.phi_stack(s, len(spectra)).reshape(len(spectra), -1), spectra.reshape(len(spectra), -1)
-    for part in cuts(acc.size):
-        np.einsum("mi,mi->i", block[:, part], terms[:, part], out=acc.reshape(-1)[part])
-    vals = scipy.fft.idctn(acc, type=2, norm="ortho", overwrite_x=True)
-    return vals.reshape(ctx.plan.mesh.ncells)
+    block, acc = ctx.phi_stack(s, len(spectra)), ctx.workspace.acc[:, : out.shape[1]]
+    for rows in cuts(*out.shape):
+        np.einsum("mij,mij->ij", block[:, rows], spectra[:, rows, : out.shape[1]], out=acc[rows])
+    np.copyto(out, scipy.fft.idctn(acc, type=2, norm="ortho", overwrite_x=True))
+    return out.reshape(-1)
 
 
 def evaluate_stage(ctx: StepContext, s: float, u_n: Field, poly: np.ndarray, alpha: Field = None) -> Field:
@@ -231,8 +255,8 @@ def evaluate_stage(ctx: StepContext, s: float, u_n: Field, poly: np.ndarray, alp
         raise ValueError("field mesh does not match the plan's mesh")
     if poly.ndim != 2 or poly.shape[1] != u_n.mesh.ncells:
         raise ValueError(f"poly must have one column per cell, {u_n.mesh.ncells}, got shape {poly.shape}")
-    spectra = np.empty((len(poly) + 1, u_n.mesh.ny, u_n.mesh.nx))
-    spectra[0] = _dct(u_n.grid().copy()) * ctx.plan.eigvals
+    spectra = _padded(len(poly) + 1, u_n.mesh)
+    _u_hat(ctx, u_n, spectra[0])
     _spectra(poly, alpha, spectra)
     increment = _stage_values(ctx, s, spectra[1:], np.empty((u_n.mesh.ny, u_n.mesh.nx)))
     return Field(u_n.mesh, increment + u_n.values)
@@ -264,16 +288,14 @@ def step(ctx: StepContext, u_n: Field, *, n: int = 1) -> tuple[Field, float]:
         raise ValueError("rescaled stepping requires max_norm(u_n) <= beta")
 
     ws, cells = ctx.workspace, cuts(mesh.ncells)
-    n0, rows = ws.poly[0], (ws.acc.reshape(mesh.ncells), ws.tmp.reshape(mesh.ncells))
+    n0, rows = ws.poly[0], (ws.acc.reshape(-1)[: mesh.ncells], ws.tmp.reshape(mesh.ncells))
     try:
         for part in cells:
             ctx.nonlinearity(u_n.values[part], out=n0[part])
     except ValueError as exc:
         raise BoundExceeded(0, 0, n) from exc
 
-    ws.spectra[0].reshape(mesh.ncells)[...] = u_n.values
-    _dct(ws.spectra[0])
-    ws.spectra[0] *= np.take(ctx.plan.values, ctx.plan.index, out=ws.acc, mode="clip")
+    _u_hat(ctx, u_n, ws.spectra[0])
 
     alpha_min, flat_tol, level_min = 1.0, _FLAT_TOL, None
     for j in range(ctx.spec.order):
@@ -283,7 +305,7 @@ def step(ctx: StepContext, u_n: Field, *, n: int = 1) -> tuple[Field, float]:
             # the flat test's tolerance: at least the rounding the solve leaves in c
             flat_tol = max(_FLAT_TOL, system.roundoff)
             for k in range(1, j + 1):
-                w = _stage_values(ctx, system.nodes[k] * ctx.tau, ws.spectra[1 : j + 1], ws.acc)
+                w = _stage_values(ctx, system.nodes[k] * ctx.tau, ws.spectra[1 : j + 1], ws.tmp)
                 w += u_n.values
                 if not _all_finite(w):
                     raise NumericalBlowup(j, k, n)
@@ -294,7 +316,7 @@ def step(ctx: StepContext, u_n: Field, *, n: int = 1) -> tuple[Field, float]:
                 except ValueError as exc:
                     raise BoundExceeded(j, k, n) from exc
             if j > 1:  # V_1 = [a_1] = [1], so level 1 takes c_1 = d_1 as it stands
-                spare = ws.spectra[2 : j + 2].reshape(j, mesh.ncells)
+                spare = ws.spectra[2 : j + 2].reshape(-1)[: j * mesh.ncells].reshape(j, mesh.ncells)
                 for part in cells:  # slices of >= 2 columns keep the whole solve's bits
                     system.solve(poly[1:, part], out=poly[1:, part], scratch=(spare[:, part], ws.scratch[:j, part]))
         # alpha, in tmp, unbound; spectra[1] still holds g after a level

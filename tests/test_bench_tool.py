@@ -96,3 +96,16 @@ def test_gate_times_are_read_from_the_printed_criterion_lines(bench):
         10: {"status": "PASS", "seconds": 5.42, "budget": 30.0},
     }
     assert bench.gate_times("no gate ran\n") == {}
+
+
+def test_dct_layouts_time_the_pair_on_contiguous_and_on_padded_rows(bench):
+    facts = bench.dct_layouts(etdac, sizes=(16, 24))
+    # a 16-cell row is two 64-byte lines, padded to three; a 24-cell row is three already
+    assert [(fact["n"], fact["stride"]) for fact in facts] == [(16, 24), (24, 24)]
+    assert all(fact["contiguous_ms"] > 0 and fact["padded_ms"] > 0 for fact in facts)
+
+
+def test_dct_layouts_of_a_checkout_without_padded_rows(bench, monkeypatch):
+    monkeypatch.delattr(etdac.stepper, "_padded")
+    (fact,) = bench.dct_layouts(etdac, sizes=(16,))
+    assert (fact["n"], fact["stride"], fact["padded_ms"]) == (16, 16, None) and fact["contiguous_ms"] > 0

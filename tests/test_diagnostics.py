@@ -81,10 +81,11 @@ class TestRecord:
         with pytest.raises(ValueError):
             record(ctx, 0, Field(Mesh2D(2 * np.pi, 2 * np.pi, n, n), np.zeros(n * n)))
 
-    @pytest.mark.parametrize("potential, budget", [("gl", 3.05), ("fh", 4.05)])
+    @pytest.mark.parametrize("potential, budget", [("gl", 1.05), ("fh", 2.05)])
     def test_record_allocates_only_the_potential_s_temporaries(self, request, potential, budget):
-        # in fields of the mesh: the energy's difference fields go through the
-        # workspace, which the run's first step allocates; F makes 3 (gl) or 4 (fh)
+        # in fields of the mesh: the energy's difference fields and F go through
+        # the workspace, which the run's first step allocates; F(u, out=) makes
+        # 1 (gl) or 2 (fh) temporaries of a slice, at 128^2 the whole field
         pot = request.getfixturevalue(potential)
         mesh = Mesh2D(2 * np.pi, 2 * np.pi, 128, 128)
         ctx = StepContext(SpectralPlan(mesh, 0.1, pot.kappa_min), pot, make_scheme(3), 0.1)

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from conftest import random_field
 from etdac.grid import Field, Mesh2D, l2_norm, max_norm
 from etdac.spectral import SpectralPlan, apply_phi
-from etdac.stepper import _dct
+from etdac.stepper import _dct, _padded
 from oracles import DenseOperator, dct2_matrix
 
 
@@ -80,11 +81,30 @@ class TestTransforms:
         want = dct2_matrix(mesh.ny) @ u.grid() @ dct2_matrix(mesh.nx).T
         assert np.max(np.abs(got - want)) < 1e-12
 
-    def test_round_trip_identity(self, plan8, mesh8):
-        # phi_0 of s*eigvals rounds to exactly 1 at this s, leaving DCT then inverse
-        u = random_field(mesh8, 1)
-        v = apply_phi(plan8, 0, 1e-300, u)
-        assert np.max(np.abs(v.values - u.values)) < 1e-13 * max_norm(u)
+    def test_round_trip_identity(self):
+        # the stepper's pair: _dct, then the inverse in place, as a stage sum takes it
+        for mesh in (Mesh2D(2 * np.pi, 2 * np.pi, 8, 8), Mesh2D(2 * np.pi, np.pi, 13, 5)):
+            u = random_field(mesh, 1)
+            back = scipy.fft.idctn(forward(u), type=2, norm="ortho", overwrite_x=True)
+            assert np.max(np.abs(back.ravel() - u.values)) < 1e-13 * max_norm(u)
+
+    @pytest.mark.parametrize("nx, ny", [(8, 8), (13, 5), (64, 64), (128, 96)])
+    def test_the_pair_on_a_padded_view_is_the_contiguous_pair(self, nx, ny):
+        # the step transforms [:, :nx] views of padded rows in place: the same
+        # bits as scipy's contiguous pair, and the pad columns untouched (an
+        # 8-cell row is one 64-byte line, already odd, so it has no pad)
+        mesh = Mesh2D(2 * np.pi, np.pi, nx, ny)
+        u = random_field(mesh, 2)
+        row = _padded(1, mesh)[0]
+        assert row.shape[1] % 16 == 8 and nx <= row.shape[1] < nx + 16  # an odd number of 64-byte lines
+        row[:, nx:] = np.nan
+        view = row[:, :nx]
+        np.copyto(view, u.grid())
+        want = scipy.fft.dctn(u.grid(), type=2, norm="ortho")
+        assert np.shares_memory(_dct(view), row) and np.array_equal(view, want)
+        back = scipy.fft.idctn(view, type=2, norm="ortho", overwrite_x=True)
+        assert np.shares_memory(back, row) and np.array_equal(view, scipy.fft.idctn(want, type=2, norm="ortho"))
+        assert np.isnan(row[:, nx:]).all()
 
     def test_constant_maps_to_dc_mode_only(self, plan8, mesh8):
         uh = forward(Field(mesh8, np.full(mesh8.ncells, 3.0)))

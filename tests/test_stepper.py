@@ -1056,6 +1056,32 @@ class TestWorkspace:
         assert alpha_min == 1.0
         assert peak <= budget * 8 * mesh.ncells
 
+    # seed: random data whose FH r = 7 step shrinks on that mesh
+    @pytest.mark.parametrize("shape, size, seed", [((13, 5), None, 2), ((20, 16), 64, 1)],
+                             ids=["13x5", "20x16-by-64"])
+    @pytest.mark.parametrize("potname, order, tau, rescaled", [("fh", 7, 1.0, True), ("gl", 3, 0.1, False)],
+                             ids=["fh7-rescaled", "gl3-standard"])
+    def test_pad_contents_never_reach_a_result(self, request, monkeypatch, shape, size, seed, potname, order, tau,
+                                               rescaled):
+        # the workspace's padded stack is transformed on its [..., :nx]
+        # views: NaN in every pad column after a warm step changes no bit of
+        # the next step and raises no floating-point flag
+        if size:
+            monkeypatch.setattr(phi_module, "SLICE", size)
+        mesh = Mesh2D(2 * np.pi, 2 * np.pi, *shape)
+        pot = request.getfixturevalue(potname)
+        dirty, clean = (make_ctx(mesh, pot, order, tau, rescaled=rescaled) for _ in range(2))
+        u, v = (random_field(mesh, k, -pot.beta + 1e-12, pot.beta - 1e-12) for k in (seed + 1, seed))
+        step(dirty, u, n=1)
+        for arr in (dirty.workspace.acc, dirty.workspace.spectra):
+            assert arr.shape[-1] > mesh.nx
+            arr[..., mesh.nx :] = np.nan
+        with np.errstate(all="raise"):
+            got, got_alpha = step(dirty, v, n=2)
+        want, want_alpha = step(clean, v, n=2)
+        assert np.array_equal(got.values, want.values) and got_alpha == want_alpha
+        assert (want_alpha < 1.0) == rescaled  # the rescaled case scales its spectra, not vacuously
+
     @pytest.mark.parametrize("rescaled", [False, True])
     def test_results_outlive_later_steps_and_inputs_stay_unwritten(self, mesh32, gl, rescaled):
         ctx = make_ctx(mesh32, gl, 4, 0.5, rescaled=rescaled)

@@ -26,6 +26,14 @@ The file records:
   the mean pair's that follow it.  It also records the minor page faults
   of the timed steps (``ru_minflt``, the pairs excluded) and the phi cache
   as the context holds it, len(phi_keys) * 8 * ncells bytes.
+* ``dct_layouts``: for N in {128, 512}, the milliseconds of one DCT pair
+  of an N x N array computed in place, on contiguous rows and on the
+  [:, :N] view of the stepper's padded rows (``etdac.stepper._padded``),
+  each the median over LAYOUT_ROUNDS alternating rounds of about 2 ms of
+  pairs; null padded times for a checkout without padded rows.  Since
+  perfbench paces its runs with contiguous pairs, the padding's gain
+  counts in its ``run_s`` and not in ``machine.dct_pair_ms``; this entry
+  keeps the layout's effect on the machine visible from file to file.
 * ``gate``: the acceptance gate's status, seconds and budget per
   criterion, read from the ``[PASS]``/``[FAIL] criterion N: ... (X s /
   budget Y s)`` lines of the checkout's ``test_output.txt``, the output of
@@ -69,6 +77,7 @@ EPS = 0.1
 STEPS = 9  # timed steps per grid cell
 # milliseconds of DCT pairs timed after each step, as perfbench/child.py samples its pace
 SAMPLE_MS = 2.0
+LAYOUT_ROUNDS = 15  # alternating rounds of contiguous and padded DCT pairs per size
 # the line tests/test_acceptance.py prints for each criterion
 GATE_LINE = re.compile(r"^\[(PASS|FAIL)\] criterion (\d+): .* \(([\d.]+)s / budget ([\d.e+-]+)s\)$", re.M)
 
@@ -123,6 +132,31 @@ def dct_pair_ms(grid: np.ndarray, count: int) -> float:
     return 1e3 * (time.perf_counter() - start) / count
 
 
+def dct_layouts(etdac, sizes=SIZES) -> list:
+    """Median ms of an in-place DCT pair per size, on contiguous and on padded rows."""
+    padded, facts = getattr(etdac.stepper, "_padded", None), []  # None in a checkout before padded rows
+    for n in sizes:
+        rows = {"contiguous": np.empty((n, n))}
+        if padded is not None:
+            rows["padded"] = padded(1, etdac.Mesh2D(2.0 * math.pi, 2.0 * math.pi, n, n))[0]
+        grids = {name: row[:, :n] for name, row in rows.items()}
+        for grid in grids.values():
+            grid[...] = np.random.default_rng(n).standard_normal((n, n))
+        count = max(1, math.ceil(SAMPLE_MS / dct_pair_ms(grids["contiguous"], 1)))
+        times = {name: [] for name in grids}
+        for _ in range(LAYOUT_ROUNDS):
+            for name, grid in grids.items():
+                start = time.perf_counter()
+                for _ in range(count):
+                    scipy.fft.dctn(grid, type=2, norm="ortho", overwrite_x=True)
+                    scipy.fft.idctn(grid, type=2, norm="ortho", overwrite_x=True)
+                times[name].append(1e3 * (time.perf_counter() - start) / count)
+        facts.append({"n": n, "stride": rows.get("padded", rows["contiguous"]).shape[1],
+                      "contiguous_ms": statistics.median(times["contiguous"]),
+                      "padded_ms": statistics.median(times["padded"]) if "padded" in times else None})
+    return facts
+
+
 def time_cell(etdac, potential: str, order: int, rescaled: bool, n: int) -> dict:
     """One cell of the grid: ms per step after a warm-up step, with the DCT pace alongside."""
     tau = POTENTIALS[potential]
@@ -157,10 +191,14 @@ def time_cell(etdac, potential: str, order: int, rescaled: bool, n: int) -> dict
     return cell
 
 
-def time_grid(checkout: Path) -> list:
+def load_etdac(checkout: Path):
     sys.path.insert(0, str(checkout / "src"))
     import etdac
 
+    return etdac
+
+
+def time_grid(etdac) -> list:
     cells = []
     for n in SIZES:
         for potential in POTENTIALS:
@@ -200,7 +238,9 @@ def main(argv=None) -> int:
     for workload in WORKLOADS:
         report["perfbench"][workload] = {f"trace{trace}": perfbench(checkout, workload, trace) for trace in (0, 1)}
         print(f"{workload}: done", file=sys.stderr, flush=True)
-    report["grid"] = time_grid(checkout)
+    etdac = load_etdac(checkout)
+    report["dct_layouts"] = dct_layouts(etdac)
+    report["grid"] = time_grid(etdac)
     output = checkout / "test_output.txt"
     report["gate"] = gate_times(output.read_text()) if output.is_file() else None
     path = ROOT / f"BENCH_{args.label}.json"
