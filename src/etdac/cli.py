@@ -37,8 +37,8 @@ MAX_STEPS = 10**7
 MAX_PHI_CACHE_BYTES = 2**30
 # cells a grid may have, 4096^2, where one field takes 128 MiB.  The one
 # live step context holds the plan (12 nx ny bytes or less), its phi grids
-# (one field each, capped above) and, from its first step on, a workspace
-# of 3r + 2 fields; each step returns one more field
+# (one field each, capped above) and its work arrays, 3r + 2 fields; each
+# step returns one more field
 MAX_CELLS = 2**24
 
 
@@ -143,13 +143,15 @@ def _states(plan, potential, spec, rescaled, tau, t_end, u0):
             f"beta={potential.beta:.6g} required for rescaled stepping"
         )
     m, rem = _split_steps(t_end, tau)
-    ctx = StepContext(plan, potential, spec, tau, rescaled=rescaled)
+    # a context builds its phi grids whole, so it is built only for steps it takes
+    ctx = StepContext(plan, potential, spec, tau if m or not rem else rem, rescaled=rescaled)
     yield ctx, 0, 0.0, u0, 1.0
     u = u0
     for i in range(1, m + 1 + bool(rem)):
-        t = i * tau
-        if i > m:  # the shortened last step, which ends at t_end
-            ctx, t = StepContext(plan, potential, spec, rem, rescaled=rescaled), t_end
+        if i > m and m:  # the shortened last step after full ones: one context lives at a time
+            del ctx
+            ctx = StepContext(plan, potential, spec, rem, rescaled=rescaled)
+        t = t_end if i > m else i * tau  # the shortened last step ends at t_end
         u, alpha_min = step(ctx, u, n=i)
         yield ctx, i, t, u, alpha_min
 

@@ -58,7 +58,7 @@ def record(ctx, n: int, u: Field, prev_energy: float = None, *, alpha_min: float
     if t is None:
         t = n * ctx.tau
     # the energy's differences and F go through ctx's tmp row; its reshape raises unless u has ctx's cells
-    mn, row = max_norm(u), ctx.workspace.tmp.reshape(u.mesh.ncells)
+    mn, row = max_norm(u), ctx.tmp.reshape(u.mesh.ncells)
     try:
         energy = discrete_energy(u, ctx.plan.eps, ctx.potential, row)
     except ValueError:

@@ -74,13 +74,25 @@ class NumericalBlowup(StepFailure):
 
 
 class StepContext:
-    """Everything a repeated fixed-tau step needs, with cached phi grids.
+    """Everything a repeated fixed-tau step reads or writes, built whole on
+    construction, so a context serves one step at a time.
 
-    The stage times a_{j,k} tau are step-invariant, so each grid
-    phi_j(s lambda), times its stage-formula scalar, is computed once per
-    (j, s), kept in one block per s, and reused.  The first step allocates the
-    context's workspace, every field-sized array a step writes, so a
-    context serves one step at a time.
+    phi maps each stage time s of phi_keys, computed as step computes it, to
+    its block (phi_block): the contiguous grids phi_j(s lambda), each times
+    its stage-formula scalar, j = 1..jmax(s), built once and read by every
+    step.  The work arrays are 3r + 2 fields at order r.  spectra[0] is
+    lambda DCT(u_n), L u_n's spectrum, and spectra[1:j+2] level j's, row 1
+    g = spectra[0] + DCT(alpha N(u_n)), so that a stage sums the one slice
+    spectra[1:j+1] against a phi block in acc.  poly[:j+1] is level j's
+    polynomial, row 0 N(u_n) at every level; g stays in spectra[1] from a
+    level where alpha is one to the next such level.  acc and spectra are
+    one padded stack (_padded).  The solve of level j takes spectra[2:j+2]'s
+    first j ncells values, dead once the level's stages are summed, and
+    scratch[:j] as its two scratch arrays; a stage's values go from acc to
+    tmp; acc's first ncells values are the nonlinearity's scratch, and they
+    and tmp rescale_factor's.  Between transforms a step runs slice by slice
+    (phi.cuts), in cache.  Every array is written in each step before it is
+    read, so a step that raised leaves nothing the next one sees.
     """
 
     def __init__(self, plan: SpectralPlan, potential, spec: SchemeSpec, tau: float, rescaled: bool = False):
@@ -98,80 +110,51 @@ class StepContext:
         self.tau = float(tau)
         self.rescaled = bool(rescaled)
         self.kappa_beta = plan.kappa * potential.beta
-        self._phi_blocks: dict[float, np.ndarray] = {}
-        self._workspace = None
-        self._index = _padded(1, plan.mesh)[0].astype(np.int32)  # 0 in the pad
-        self._index[:, : plan.mesh.nx] = plan.index
-
-    def phi_stack(self, s: float, rows: int) -> np.ndarray:
-        """The grids c * phi_j(s * eigvals), j = 1..rows, as a (rows, ny, nx)
-        view of s's block, the cache's contiguous phi_1..phi_jmax at s.
-
-        c = tau (j-1)! (s/tau)^j, phi_j's scalar in the stage formula, and
-        phi_j act elementwise, so tabulating on plan.values and gathering by
-        plan.index is exact.  The first request for s builds its block for
-        every j that phi_keys gives for s, so no step rebuilds it; a request
-        past it builds the block again, whole, at the larger size.
-        """
-        s = float(s)
-        block = self._phi_blocks.get(s)
-        if block is None or len(block) < rows:
-            size = max([rows] + [j for j, t in phi_keys(self.spec, self.tau) if t == s])
-            block = self._phi_blocks[s] = np.empty((size, *self.plan.index.shape))
-            for j, grid in enumerate(block, 1):
-                table = phi_batch(j, s * self.plan.values)
-                table *= self.tau * math.factorial(j - 1) * (s / self.tau) ** j
-                # the index is in range; mode "raise" would gather through a temporary
-                np.take(table, self.plan.index, out=grid, mode="clip")
-        return block[:rows]
-
-    @property
-    def workspace(self) -> "Workspace":
-        """The arrays a step computes in, allocated on first use."""
-        if self._workspace is None:
-            self._workspace = Workspace(self.plan.mesh, self.spec.order)
-        return self._workspace
+        # the work arrays first: built after the phi blocks, the 512^2 order-5
+        # stack that every DCT reads lost 2 of its 14 MiB of huge pages
+        mesh = plan.mesh
+        stack = _padded(spec.order + 2, mesh)
+        self.acc, self.spectra, self.tmp = stack[0], stack[1:], np.empty((mesh.ny, mesh.nx))
+        self.poly = np.empty((spec.order, mesh.ncells))
+        self.scratch = np.empty((spec.order - 1, mesh.ncells))
+        # in ascending j, so each s keeps its largest
+        rows = {s: j for j, s in sorted(phi_keys(spec, self.tau))}
+        self.phi = {s: phi_block(self, s, j) for s, j in rows.items()}
+        self._index = _padded(1, mesh)[0].astype(np.int32)  # 0 in the pad
+        self._index[:, : mesh.nx] = plan.index
 
     def nonlinearity(self, values: np.ndarray, out: np.ndarray = None) -> np.ndarray:
         """N(u) = f(u) + kappa u on raw values.
 
-        Given out, at most a field and overlapping neither values nor the
-        workspace's acc, N goes there and kappa u through acc's first out.size values.
+        Given out, at most a field and overlapping neither values nor acc,
+        N goes there and kappa u through acc's first out.size values.
         """
         n = self.potential.f(values, out=out)
-        tmp = None if out is None else self.workspace.acc.reshape(-1)[: out.size].reshape(out.shape)
+        tmp = None if out is None else self.acc.reshape(-1)[: out.size].reshape(out.shape)
         n += np.multiply(self.plan.kappa, values, out=tmp)
         return n
 
 
-class Workspace:
-    """The field-sized arrays of a step, 3r + 2 fields at order r.
+def phi_block(ctx: StepContext, s: float, rows: int) -> np.ndarray:
+    """The grids c * phi_j(s * eigvals), j = 1..rows, as one contiguous
+    (rows, ny, nx) block.
 
-    spectra[0] is lambda DCT(u_n), L u_n's spectrum, and spectra[1:j+2]
-    level j's, row 1 g = spectra[0] + DCT(alpha N(u_n)), so that a stage
-    sums the one slice spectra[1:j+1] against a phi block in acc.
-    poly[:j+1] is level j's polynomial, row 0 N(u_n) at every level; g
-    stays in spectra[1] from a level where alpha is one to the next such
-    level.  acc and spectra are one padded stack (_padded).  The solve of
-    level j takes spectra[2:j+2]'s first j ncells values, dead once the
-    level's stages are summed, and scratch[:j] as its two scratch arrays;
-    a stage's values go from acc to tmp; acc's first ncells values are the
-    nonlinearity's scratch, and they and tmp rescale_factor's.  Between
-    transforms a step runs slice by slice (phi.cuts), in cache.  Every array
-    is written in each step before it is read, so a step that raised leaves
-    nothing the next one sees.
+    c = tau (j-1)! (s/tau)^j, phi_j's scalar in the stage formula, and
+    phi_j act elementwise, so tabulating on plan.values and gathering by
+    plan.index is exact.
     """
-
-    def __init__(self, mesh: Mesh2D, order: int):
-        stack = _padded(order + 2, mesh)
-        self.acc, self.spectra, self.tmp = stack[0], stack[1:], np.empty((mesh.ny, mesh.nx))
-        self.poly = np.empty((order, mesh.ncells))
-        self.scratch = np.empty((order - 1, mesh.ncells))
+    s, block = float(s), np.empty((rows, *ctx.plan.index.shape))
+    for j, grid in enumerate(block, 1):
+        table = phi_batch(j, s * ctx.plan.values)
+        table *= ctx.tau * math.factorial(j - 1) * (s / ctx.tau) ** j
+        # the index is in range; mode "raise" would gather through a temporary
+        np.take(table, ctx.plan.index, out=grid, mode="clip")
+    return block
 
 
 def phi_keys(spec: SchemeSpec, tau: float) -> set[tuple[int, float]]:
-    """The (j, s) grids a step of spec at tau reads from the phi cache: one
-    cached row each, known before any plan or field exists.
+    """The (j, s) grids a step of spec at tau reads from the context's phi
+    blocks: one row each, known before any plan or field exists.
 
     A level-j stage at s reads phi_1..phi_j, and the final stage at
     s = tau reads phi_1..phi_r; s is computed as step computes it.
@@ -199,15 +182,15 @@ def _dct(grid: np.ndarray) -> np.ndarray:
 
 
 def _u_hat(ctx: StepContext, u_n: Field, out: np.ndarray) -> None:
-    """lambda DCT(u_n) in out, a padded row, the eigenvalues gathered in the workspace's acc."""
+    """lambda DCT(u_n) in out, a padded row, the eigenvalues gathered in ctx's acc."""
     np.copyto(out[:, : u_n.mesh.nx], u_n.grid())
     _dct(out[:, : u_n.mesh.nx])
-    out *= np.take(ctx.plan.values, ctx._index, out=ctx.workspace.acc, mode="clip")
+    out *= np.take(ctx.plan.values, ctx._index, out=ctx.acc, mode="clip")
 
 
 def _spectra(poly: np.ndarray, alpha: Field, out: np.ndarray, held: bool = False) -> float:
     """alpha's minimum, with the spectra of alpha * poly's rows computed in
-    out[1:], a padded stack, out[0] = lambda DCT(u_n) added to row 0's (see Workspace).
+    out[1:], a padded stack, out[0] = lambda DCT(u_n) added to row 0's (see StepContext).
 
     poly is a level's (level+1, ncells) polynomial: row 0 the unscaled
     N(u_n), row m the coefficient c_m of (s/tau)^m.  alpha is the
@@ -230,16 +213,16 @@ def _spectra(poly: np.ndarray, alpha: Field, out: np.ndarray, held: bool = False
     return alpha_min
 
 
-def _stage_values(ctx: StepContext, s: float, spectra: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _stage_values(ctx: StepContext, block: np.ndarray, spectra: np.ndarray, out: np.ndarray) -> np.ndarray:
     """w_level(s) - u_n in out, an (ny, nx) array, returned flat, level = len(spectra),
-    from the padded spectra of the level's polynomial, row 0 g (see Workspace):
-    sum_m phi_stack[m] * spectra[m] in the workspace's acc, one pass per slice of
-    rows (phi.cuts), transformed there and copied out.
+    from s's phi block and the padded spectra of the level's polynomial, row 0 g
+    (see StepContext): sum_m block[m] * spectra[m] in ctx's acc, one pass per
+    slice of rows (phi.cuts), transformed there and copied out.
     einsum's unoptimized sum adds the terms in order of m, as a multiply-add
     loop would: bit for bit, up to the sign of an exact zero, where numpy's
     einsum does not fuse a multiply-add (x86-64 builds below an FMA3
     baseline); NEON and FMA3-baseline builds round each term's product and sum once."""
-    block, acc = ctx.phi_stack(s, len(spectra)), ctx.workspace.acc[:, : out.shape[1]]
+    block, acc = block[: len(spectra)], ctx.acc[:, : out.shape[1]]
     for rows in cuts(*out.shape):
         np.einsum("mij,mij->ij", block[:, rows], spectra[:, rows, : out.shape[1]], out=acc[rows])
     np.copyto(out, scipy.fft.idctn(acc, type=2, norm="ortho", overwrite_x=True))
@@ -248,7 +231,8 @@ def _stage_values(ctx: StepContext, s: float, spectra: np.ndarray, out: np.ndarr
 
 def evaluate_stage(ctx: StepContext, s: float, u_n: Field, poly: np.ndarray, alpha: Field = None) -> Field:
     """Evaluate w_level(s) for s in (0, tau], level = len(poly), of the
-    level's polynomial poly scaled pointwise by alpha (see _spectra)."""
+    level's polynomial poly scaled pointwise by alpha (see _spectra), with
+    a phi block of its own, which the context does not keep."""
     if not 0.0 < s <= ctx.tau * (1.0 + 1e-12):
         raise ValueError(f"stage time s={s} outside (0, tau]")
     if u_n.mesh != ctx.plan.mesh:
@@ -258,7 +242,7 @@ def evaluate_stage(ctx: StepContext, s: float, u_n: Field, poly: np.ndarray, alp
     spectra = _padded(len(poly) + 1, u_n.mesh)
     _u_hat(ctx, u_n, spectra[0])
     _spectra(poly, alpha, spectra)
-    increment = _stage_values(ctx, s, spectra[1:], np.empty((u_n.mesh.ny, u_n.mesh.nx)))
+    increment = _stage_values(ctx, phi_block(ctx, s, len(poly)), spectra[1:], np.empty((u_n.mesh.ny, u_n.mesh.nx)))
     return Field(u_n.mesh, increment + u_n.values)
 
 
@@ -276,8 +260,8 @@ def step(ctx: StepContext, u_n: Field, *, n: int = 1) -> tuple[Field, float]:
 
     alpha_min is the smallest rescale factor at any cascade level, 1.0 when
     nothing shrank.  n is the step's index, which labels a StepFailure
-    raised here.  Every array but u_next is the context's workspace, which
-    u_next does not share.
+    raised here.  Every array but u_next is the context's, and u_next
+    shares none of them.
     """
     mesh = u_n.mesh
     if mesh != ctx.plan.mesh:
@@ -287,25 +271,25 @@ def step(ctx: StepContext, u_n: Field, *, n: int = 1) -> tuple[Field, float]:
     if ctx.rescaled and max_norm(u_n) > ctx.potential.beta + MBP_TOL:
         raise ValueError("rescaled stepping requires max_norm(u_n) <= beta")
 
-    ws, cells = ctx.workspace, cuts(mesh.ncells)
-    n0, rows = ws.poly[0], (ws.acc.reshape(-1)[: mesh.ncells], ws.tmp.reshape(mesh.ncells))
+    cells = cuts(mesh.ncells)
+    n0, rows = ctx.poly[0], (ctx.acc.reshape(-1)[: mesh.ncells], ctx.tmp.reshape(mesh.ncells))
     try:
         for part in cells:
             ctx.nonlinearity(u_n.values[part], out=n0[part])
     except ValueError as exc:
         raise BoundExceeded(0, 0, n) from exc
 
-    _u_hat(ctx, u_n, ws.spectra[0])
+    _u_hat(ctx, u_n, ctx.spectra[0])
 
     alpha_min, flat_tol, level_min = 1.0, _FLAT_TOL, None
     for j in range(ctx.spec.order):
-        poly = ws.poly[: j + 1]
+        poly = ctx.poly[: j + 1]
         if j:
             system = ctx.spec.systems[j - 1]
             # the flat test's tolerance: at least the rounding the solve leaves in c
             flat_tol = max(_FLAT_TOL, system.roundoff)
             for k in range(1, j + 1):
-                w = _stage_values(ctx, system.nodes[k] * ctx.tau, ws.spectra[1 : j + 1], ws.tmp)
+                w = _stage_values(ctx, ctx.phi[system.nodes[k] * ctx.tau], ctx.spectra[1 : j + 1], ctx.tmp)
                 w += u_n.values
                 if not _all_finite(w):
                     raise NumericalBlowup(j, k, n)
@@ -316,16 +300,16 @@ def step(ctx: StepContext, u_n: Field, *, n: int = 1) -> tuple[Field, float]:
                 except ValueError as exc:
                     raise BoundExceeded(j, k, n) from exc
             if j > 1:  # V_1 = [a_1] = [1], so level 1 takes c_1 = d_1 as it stands
-                spare = ws.spectra[2 : j + 2].reshape(-1)[: j * mesh.ncells].reshape(j, mesh.ncells)
+                spare = ctx.spectra[2 : j + 2].reshape(-1)[: j * mesh.ncells].reshape(j, mesh.ncells)
                 for part in cells:  # slices of >= 2 columns keep the whole solve's bits
-                    system.solve(poly[1:, part], out=poly[1:, part], scratch=(spare[:, part], ws.scratch[:j, part]))
+                    system.solve(poly[1:, part], out=poly[1:, part], scratch=(spare[:, part], ctx.scratch[:j, part]))
         # alpha, in tmp, unbound; spectra[1] still holds g after a level
         # where alpha was one
         level_min = _spectra(poly, rescale_factor(mesh, poly, ctx.kappa_beta, flat_tol, rows) if ctx.rescaled
-                             else None, ws.spectra[: j + 2], level_min == 1.0)
+                             else None, ctx.spectra[: j + 2], level_min == 1.0)
         alpha_min = min(alpha_min, level_min)
 
-    out = _stage_values(ctx, ctx.tau, ws.spectra[1:], np.empty((mesh.ny, mesh.nx)))
+    out = _stage_values(ctx, ctx.phi[ctx.tau], ctx.spectra[1:], np.empty((mesh.ny, mesh.nx)))
     out += u_n.values
     if not _all_finite(out):
         raise NumericalBlowup(ctx.spec.order, ctx.spec.order, n)

@@ -78,6 +78,17 @@ def test_checkout_must_hold_perfbench_and_sources(bench, tmp_path):
     assert exc.value.code == 2
 
 
+def test_src_lines_count_the_package_modules_as_wc_does(bench, tmp_path):
+    package = tmp_path / "src" / "etdac"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\ny = 2\n")
+    (package / "b.py").write_text("z = 3\n\n\nw = 4")  # no newline at the end, as wc -l counts
+    (package / "notes.txt").write_text("not a module\n")
+    (tmp_path / "src" / "other.py").write_text("outside the package\n")
+    assert bench.src_lines(tmp_path) == 5
+    assert bench.src_lines(ROOT) == sum(len(p.read_text().splitlines()) for p in (ROOT / "src" / "etdac").glob("*.py"))
+
+
 def test_gate_times_are_read_from_the_printed_criterion_lines(bench):
     # as a full test run prints them; the failure's traceback repeats the
     # print statement's source and its assertion, neither read as a line

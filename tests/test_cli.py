@@ -267,6 +267,21 @@ class TestExitCodes:
         assert rc == 2
         assert f"config error: cannot write {out / name}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["converge", "--rescaled", "maybe"], "argument --rescaled: expected a boolean, got 'maybe'"),
+        (["converge", "--ref", "self_finer:0"], "config error: self_finer divider must be >= 1"),
+        (["converge", "--taus", "0.1,x"], "config error: bad --taus list: could not convert string to float: 'x'"),
+        (["converge", "--t-end", "0"], "config error: t_end must be positive for a convergence study"),
+    ])
+    def test_converge_refusals_name_the_bad_input(self, tmp_path, capsys, argv, message):
+        try:
+            rc = main(argv + ["--grid", "8", "--out", str(tmp_path / "o")])
+        except SystemExit as exc:  # argparse's own refusals
+            rc = exc.code
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert message in err and "Traceback" not in err
+
     def test_unknown_choice_exits_2_via_argparse(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["run", "--potential", "quartic"])
@@ -328,20 +343,39 @@ class TestRunLoop:
 
     @pytest.mark.parametrize("run", ["_integrate", "_final"])
     def test_the_shortened_last_step_has_the_only_live_context(self, monkeypatch, run):
-        # the full steps' context, with its phi grids and workspace, is
-        # unreachable before the shortened step builds its own
-        contexts, alive = [], []
-        real_step = cli.step
+        # the full steps' context, with its phi grids and work arrays, is
+        # unreachable before the shortened step's context is constructed,
+        # which builds its own whole, and so at that step as well
+        contexts, built, stepped = [], [], []
+        real_context, real_step = cli.StepContext, cli.step
+
+        def construct(*args, **kwargs):
+            built.append([ref() is not None for ref in contexts])
+            ctx = real_context(*args, **kwargs)
+            contexts.append(weakref.ref(ctx))
+            return ctx
 
         def spy(ctx, u, **kwargs):
-            if not contexts or contexts[-1]() is not ctx:
-                alive.append([ref() is not None for ref in contexts])
-                contexts.append(weakref.ref(ctx))
+            stepped.append([ref() is not None and ref() is not ctx for ref in contexts])
             return real_step(ctx, u, **kwargs)
 
+        monkeypatch.setattr(cli, "StepContext", construct)
         monkeypatch.setattr(cli, "step", spy)
         getattr(cli, run)(self.plan, self.potential, make_scheme(3), True, 0.5, 1.25, self.u0)
-        assert alive == [[], [False]]
+        assert built == [[], [False]]
+        assert stepped == [[False], [False], [False, False]]
+
+    def test_a_run_shorter_than_tau_builds_only_the_context_it_steps_with(self, monkeypatch):
+        taus, real_context = [], cli.StepContext
+
+        def construct(*args, **kwargs):
+            taus.append(args[3])
+            return real_context(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "StepContext", construct)
+        u, report, err = cli._integrate(self.plan, self.potential, make_scheme(3), True, 0.5, 0.25, self.u0)
+        assert err is None and taus == [0.25]
+        assert [(d.n, d.t) for d in report.series] == [(0, 0.0), (1, 0.25)]
 
     @pytest.mark.parametrize("rescaled", [False, True])
     def test_final_field_equals_the_recorded_runs(self, rescaled):

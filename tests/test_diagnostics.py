@@ -84,13 +84,12 @@ class TestRecord:
     @pytest.mark.parametrize("potential, budget", [("gl", 1.05), ("fh", 2.05)])
     def test_record_allocates_only_the_potential_s_temporaries(self, request, potential, budget):
         # in fields of the mesh: the energy's difference fields and F go through
-        # the workspace, which the run's first step allocates; F(u, out=) makes
-        # 1 (gl) or 2 (fh) temporaries of a slice, at 128^2 the whole field
+        # the context's tmp row, which its construction allocates; F(u, out=)
+        # makes 1 (gl) or 2 (fh) temporaries of a slice, at 128^2 the whole field
         pot = request.getfixturevalue(potential)
         mesh = Mesh2D(2 * np.pi, 2 * np.pi, 128, 128)
         ctx = StepContext(SpectralPlan(mesh, 0.1, pot.kappa_min), pot, make_scheme(3), 0.1)
         u = random_field(mesh, 0, -0.9 * pot.beta, 0.9 * pot.beta)
-        assert ctx.workspace is not None
         diag, peak = traced_peak(lambda: record(ctx, 1, u, 0.0))
         assert math.isfinite(diag.energy)
         assert peak <= budget * 8 * mesh.ncells

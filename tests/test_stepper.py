@@ -521,44 +521,64 @@ class TestStepContext:
         assert np.array_equal(out, ctx.nonlinearity(u))
 
     def test_phi_grids_are_memoized(self, mesh8, gl):
-        # row m of s's block is phi_{m+1}, cached already multiplied by its
+        # row m of s's block is phi_{m+1}, kept already multiplied by its
         # stage-formula scalar tau m! (s/tau)^{m+1}: bit for bit phi_batch on
         # every cell of the eigenvalue grid, on a square mesh and on one
-        # whose eigenvalues are not symmetric; a repeated request returns
-        # the same memory, a row of its s's block.  At s = 0.05, a stage
-        # time of levels 2 and 4 whose block holds phi_1..phi_4, the request
-        # for phi_5 builds the block again, one row longer
+        # whose eigenvalues are not symmetric; each block is one contiguous
+        # array of its own.  At s = 0.05, a stage time of levels 2 and 4
+        # whose block holds phi_1..phi_4, phi_block builds phi_5 as well,
+        # in a block the context does not keep
         tau = 0.1
         for mesh in (mesh8, Mesh2D(2 * np.pi, np.pi, 12, 8)):
             ctx = make_ctx(mesh, gl, 5, tau)
-            assert len(ctx.phi_stack(0.05, 1).base) == 4
-            for j, s in sorted(phi_keys(ctx.spec, tau) | {(j, 0.05) for j in range(1, 6)}):
+            assert len(ctx.phi[0.05]) == 4
+            for j, s in sorted(phi_keys(ctx.spec, tau)):
                 m = j - 1
                 c = tau * math.factorial(m) * (s / tau) ** (m + 1)
-                grid, again = ctx.phi_stack(s, j)[m], ctx.phi_stack(s, j)[m]
-                assert grid.ctypes.data == again.ctypes.data and grid.shape == again.shape == (mesh.ny, mesh.nx)
-                assert grid.base is ctx._phi_blocks[s]
-                assert np.array_equal(grid, c * phi_batch(j, s * ctx.plan.eigvals))
-            assert len(ctx._phi_blocks[0.05]) == 5
+                block = ctx.phi[s]
+                assert block.base is None and block.flags.c_contiguous and block.shape[1:] == (mesh.ny, mesh.nx)
+                assert np.array_equal(block[m], c * phi_batch(j, s * ctx.plan.eigvals))
+            longer = stepper.phi_block(ctx, 0.05, 5)
+            assert longer.shape == (5, mesh.ny, mesh.nx) and len(ctx.phi[0.05]) == 4
+            assert np.array_equal(longer[:4], ctx.phi[0.05])
+            c = tau * math.factorial(4) * (0.05 / tau) ** 5
+            assert np.array_equal(longer[4], c * phi_batch(5, 0.05 * ctx.plan.eigvals))
 
     @pytest.mark.parametrize("kind", ["uniform", "chebyshev"])
     @pytest.mark.parametrize("order", range(1, 8))
     def test_phi_keys_are_the_grids_a_step_caches(self, monkeypatch, mesh8, gl, order, kind):
-        # the CLI sizes the cache from phi_keys before the first step: the
-        # blocks hold exactly those rows, each tabulated once, and later
-        # steps neither grow a block nor tabulate again
+        # the CLI sizes the cache from phi_keys before any context exists:
+        # the blocks hold exactly those rows, each tabulated once when the
+        # context is built, and steps neither grow a block nor tabulate again
         calls = []
         monkeypatch.setattr(stepper, "phi_batch", lambda j, z: calls.append(j) or phi_batch(j, z))
         plan = SpectralPlan(mesh8, 0.1, 2.0)
         ctx = StepContext(plan, gl, make_scheme(order, kind), 0.3)
         keys = phi_keys(ctx.spec, 0.3)
-        u, _ = step(ctx, sinprod(mesh8), n=1)
-        blocks = dict(ctx._phi_blocks)
+        blocks = dict(ctx.phi)
         assert keys == {(j, s) for s, block in blocks.items() for j in range(1, len(block) + 1)}
         assert len(keys) == {3: 5, 5: 23, 7: 65}.get(order, len(keys)) == len(calls)
+        u, _ = step(ctx, sinprod(mesh8), n=1)
         step(ctx, u, n=2)
-        assert all(ctx._phi_blocks[s] is block for s, block in blocks.items()) and len(ctx._phi_blocks) == len(blocks)
+        assert all(ctx.phi[s] is block for s, block in blocks.items()) and len(ctx.phi) == len(blocks)
         assert len(calls) == len(keys)
+
+    def test_evaluate_stage_leaves_the_phi_blocks_as_built(self, mesh8, gl):
+        # a stage at a time that is no stage time, and one at s = tau of a
+        # level above r, build blocks of their own that the context does not keep
+        order, tau = 3, 0.3
+        ctx = make_ctx(mesh8, gl, order, tau)
+        u, _ = step(ctx, sinprod(mesh8), n=1)
+        u, _ = step(ctx, u, n=2)
+        blocks = dict(ctx.phi)
+        n0 = Field(mesh8, ctx.nonlinearity(u.values))
+        coeffs = [Field(mesh8, np.full(mesh8.ncells, 0.1 * m)) for m in range(1, order + 1)]
+        for s, poly in ((0.123 * tau, make_state(n0, coeffs[:1], None)),
+                        (tau, make_state(n0, coeffs, None))):
+            assert s not in blocks or len(poly[0]) > len(blocks[s])
+            evaluate_stage(ctx, s, u, *poly)
+        assert ctx.phi.keys() == blocks.keys() and all(ctx.phi[s] is block for s, block in blocks.items())
+        assert phi_keys(ctx.spec, tau) == {(j, s) for s, block in ctx.phi.items() for j in range(1, len(block) + 1)}
 
     @pytest.mark.parametrize("shape", [(16, 16), (8, 12)])
     def test_stage_sum_is_the_multiply_add_loop(self, gl, shape):
@@ -572,18 +592,18 @@ class TestStepContext:
             for s in (0.2, float(rng.uniform(0.01, 0.2))):
                 spectra = rng.standard_normal((terms, *shape)) * 10.0 ** rng.integers(-6, 6, (terms, 1, 1))
                 want, tmp = np.empty((2, *shape))
-                block = ctx.phi_stack(s, terms)
+                block = stepper.phi_block(ctx, s, terms)
                 np.multiply(block[0], spectra[0], out=want)
                 for m in range(1, terms):
                     want += np.multiply(block[m], spectra[m], out=tmp)
-                got = stepper._stage_values(ctx, s, spectra, np.empty(shape))
+                got = stepper._stage_values(ctx, block, spectra, np.empty(shape))
                 want = scipy.fft.idctn(want, type=2, norm="ortho").ravel()
                 if not _einsum_fuses():
                     assert np.array_equal(got, want)
                 else:
                     # the orthonormal transform keeps the l2 norm, so the sum's
                     # l1 rounding bound bounds every value's difference
-                    terms_l1 = np.abs(ctx.phi_stack(s, terms) * spectra).sum()
+                    terms_l1 = np.abs(block * spectra).sum()
                     assert np.abs(got - want).max() <= 4 * terms * np.finfo(float).eps * terms_l1
 
 
@@ -623,6 +643,13 @@ class TestEvaluateStage:
         ctx = make_ctx(mesh8, gl, 2, 0.2)
         with pytest.raises(ValueError, match="one column per cell"):
             evaluate_stage(ctx, 0.1, sinprod(mesh8, 0.4), np.zeros(shape))
+
+    def test_field_on_another_mesh_is_refused(self, mesh8, gl):
+        ctx = make_ctx(mesh8, gl, 2, 0.2)
+        other = Mesh2D(2 * np.pi, np.pi, 8, 8)
+        u = sinprod(other, 0.4)
+        with pytest.raises(ValueError, match="mesh"):
+            evaluate_stage(ctx, 0.1, u, np.zeros((1, other.ncells)))
 
     def test_stage_time_domain_enforced(self, mesh8, gl):
         ctx = make_ctx(mesh8, gl, 2, 0.2)
@@ -1042,13 +1069,13 @@ class TestSlices:
 
 
 class TestWorkspace:
-    """A step computes in its context's workspace, reads nothing an earlier
+    """A step computes in its context's work arrays, reads nothing an earlier
     step left there, and returns a field of its own."""
 
     @pytest.mark.parametrize("order, rescaled, budget", [(3, False, 1.25), (5, True, 1.25)])
     def test_a_warm_step_allocates_little_beyond_its_result(self, gl, order, rescaled, budget):
         # in fields of the mesh; the returned field is one of them, and
-        # rescale_factor sums and writes its factor in workspace rows
+        # rescale_factor sums and writes its factor in the context's rows
         mesh = Mesh2D(2 * np.pi, 2 * np.pi, 64, 64)
         ctx = make_ctx(mesh, gl, order, 0.05, rescaled=rescaled)
         u1, _ = step(ctx, sinprod(mesh, 0.5), n=1)
@@ -1063,7 +1090,7 @@ class TestWorkspace:
                              ids=["fh7-rescaled", "gl3-standard"])
     def test_pad_contents_never_reach_a_result(self, request, monkeypatch, shape, size, seed, potname, order, tau,
                                                rescaled):
-        # the workspace's padded stack is transformed on its [..., :nx]
+        # the context's padded stack is transformed on its [..., :nx]
         # views: NaN in every pad column after a warm step changes no bit of
         # the next step and raises no floating-point flag
         if size:
@@ -1073,7 +1100,7 @@ class TestWorkspace:
         dirty, clean = (make_ctx(mesh, pot, order, tau, rescaled=rescaled) for _ in range(2))
         u, v = (random_field(mesh, k, -pot.beta + 1e-12, pot.beta - 1e-12) for k in (seed + 1, seed))
         step(dirty, u, n=1)
-        for arr in (dirty.workspace.acc, dirty.workspace.spectra):
+        for arr in (dirty.acc, dirty.spectra):
             assert arr.shape[-1] > mesh.nx
             arr[..., mesh.nx :] = np.nan
         with np.errstate(all="raise"):
@@ -1095,7 +1122,7 @@ class TestWorkspace:
         u2, _ = step(ctx, u1, n=2)
         assert np.array_equal(u1.values, before[0])
         assert np.array_equal(w.values, before[1])
-        for buf in vars(ctx.workspace).values():
+        for buf in (*ctx.phi.values(), ctx.acc, ctx.spectra, ctx.tmp, ctx.poly, ctx.scratch):
             assert not np.shares_memory(u2.values, buf)
 
     @pytest.mark.parametrize("potential, tau, bad, error", [
@@ -1103,7 +1130,7 @@ class TestWorkspace:
         ("gl", 0.1, 1e200, NumericalBlowup),
     ])
     def test_a_failed_step_leaves_nothing_for_the_next(self, request, mesh32, potential, tau, bad, error):
-        # standard mode; the blowup raises past level 0, with inf and NaN in the workspace
+        # standard mode; the blowup raises past level 0, with inf and NaN in the work arrays
         pot = request.getfixturevalue(potential)
         ctx = make_ctx(mesh32, pot, 4, tau)
         u, v = (random_field(mesh32, seed, -0.9 * pot.beta, 0.9 * pot.beta) for seed in (5, 6))

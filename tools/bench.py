@@ -17,8 +17,8 @@ The file records:
   over the rounds both ran.
 * ``grid``: milliseconds per step of the checkout's ``etdac.stepper.step``,
   timed in this process, for {gl, fh} x r in {2, 3, 5, 7} x {standard,
-  rescaled} x N in {128, 512}.  A cell builds its step context, takes one
-  warm-up step (which fills the phi cache and the workspace), then times
+  rescaled} x N in {128, 512}.  A cell builds its step context (its phi
+  grids and work arrays with it), takes one warm-up step, then times
   STEPS steps, each from the previous one's result.  After each step it
   times forward and inverse DCT pairs of an N x N array for about 2 ms, so
   that two files taken at a different machine pace compare in
@@ -39,6 +39,8 @@ The file records:
   budget Y s)`` lines of the checkout's ``test_output.txt``, the output of
   its last full test run (the gate takes minutes, so it is not run here);
   null where the checkout has no such file.
+* ``src_lines``: the line count of the checkout's ``src/etdac/*.py``, as
+  ``wc -l`` gives it, beside the perf numbers that the same code makes.
 * the checkout's git commit, whether its ``src`` differs from that commit,
   the Python, numpy and scipy versions, and numpy's SIMD baseline: a build
   whose baseline fuses multiply-add (NEON, or x86 at FMA3) rounds the
@@ -88,6 +90,11 @@ def git(checkout: Path, *args: str) -> str | None:
     except (OSError, subprocess.CalledProcessError):
         return None
     return proc.stdout.strip()
+
+
+def src_lines(checkout: Path) -> int:
+    """The newlines in the checkout's src/etdac/*.py, wc -l's total."""
+    return sum(path.read_bytes().count(b"\n") for path in (checkout / "src" / "etdac").glob("*.py"))
 
 
 def perfbench(checkout: Path, workload: str, trace: int) -> dict:
@@ -227,6 +234,7 @@ def main(argv=None) -> int:
         "created": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "commit": git(checkout, "rev-parse", "HEAD"),
         "src_differs_from_commit": bool(git(checkout, "status", "--porcelain", "--", "src")),
+        "src_lines": src_lines(checkout),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
