@@ -132,7 +132,7 @@ def _setup(cfg, runs):
 
 def _states(plan, potential, spec, rescaled, tau, t_end, u0):
     """The one run loop: yields (ctx, n, t, u, alpha_min) for the initial
-    state (n = 0) and then after each step to t_end.
+    state (n = 0, no ctx) and then after each step to t_end.
 
     The last step is shortened to end at t_end when tau leaves a remainder.
     A numerical failure raises from the step that hit it.
@@ -143,14 +143,12 @@ def _states(plan, potential, spec, rescaled, tau, t_end, u0):
             f"beta={potential.beta:.6g} required for rescaled stepping"
         )
     m, rem = _split_steps(t_end, tau)
-    # a context builds its phi grids whole, so it is built only for steps it takes
-    ctx = StepContext(plan, potential, spec, tau if m or not rem else rem, rescaled=rescaled)
-    yield ctx, 0, 0.0, u0, 1.0
+    yield None, 0, 0.0, u0, 1.0
     u = u0
     for i in range(1, m + 1 + bool(rem)):
-        if i > m and m:  # the shortened last step after full ones: one context lives at a time
-            del ctx
-            ctx = StepContext(plan, potential, spec, rem, rescaled=rescaled)
+        if i == 1 or i > m:  # a context, phi grids and all, per step length taken; one alive at a time
+            ctx = None
+            ctx = StepContext(plan, potential, spec, rem if i > m else tau, rescaled=rescaled)
         t = t_end if i > m else i * tau  # the shortened last step ends at t_end
         u, alpha_min = step(ctx, u, n=i)
         yield ctx, i, t, u, alpha_min
@@ -165,7 +163,8 @@ def _integrate(plan, potential, spec, rescaled, tau, t_end, u0):
     try:
         for ctx, n, t, u, alpha_min in _states(plan, potential, spec, rescaled, tau, t_end, u0):
             prev_energy = report.series[-1].energy if n else None
-            report.append(record(ctx, n, u, prev_energy, alpha_min=alpha_min, t=t))
+            report.append(record(plan, potential, n, u, prev_energy, t=t, alpha_min=alpha_min,
+                                 scratch=None if ctx is None else ctx.tmp))
             del ctx  # so that a shortened last step's context is the only one alive
     except StepFailure as exc:
         return u, report, exc

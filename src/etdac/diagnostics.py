@@ -53,18 +53,18 @@ class RunReport:
         }
 
 
-def record(ctx, n: int, u: Field, prev_energy: float = None, *, alpha_min: float = 1.0, t: float = None) -> StepDiagnostics:
-    """Measure one state; prev_energy=None marks a state with no predecessor."""
-    if t is None:
-        t = n * ctx.tau
-    # the energy's differences and F go through ctx's tmp row; its reshape raises unless u has ctx's cells
-    mn, row = max_norm(u), ctx.tmp.reshape(u.mesh.ncells)
+def record(plan, potential, n: int, u: Field, prev_energy: float = None, *, t: float, alpha_min: float = 1.0,
+           scratch=None) -> StepDiagnostics:
+    """Measure state n at time t; prev_energy=None marks a state with no
+    predecessor.  scratch, a field such as a step context's tmp, takes the
+    energy's differences and F; its reshape raises unless u has its cells."""
+    mn, row = max_norm(u), None if scratch is None else scratch.reshape(u.mesh.ncells)
     try:
-        energy = discrete_energy(u, ctx.plan.eps, ctx.potential, row)
+        energy = discrete_energy(u, plan.eps, potential, row)
     except ValueError:
         energy = float("inf")
     dissipation_ok = prev_energy is None or energy <= prev_energy + DISSIPATION_RTOL * (1.0 + abs(prev_energy))
-    mbp_ok = mn <= ctx.potential.beta + MBP_TOL
+    mbp_ok = mn <= potential.beta + MBP_TOL
     return StepDiagnostics(n, float(t), float(energy), mn, float(alpha_min), bool(dissipation_ok), bool(mbp_ok))
 
 

@@ -3,9 +3,9 @@
 An order-r scheme interpolates the nonlinearity at nodes
 0 = a_{r,0} < a_{r,1} < ... < a_{r,r} <= 1 scaled by the step tau.  The
 polynomial coefficients solve the r x r power matrix V with entries
-V[i][j] = (a_{r,i})^j for i, j = 1..r (node 0 excluded).  The minimum
-singular values of the cascade matrices V_1..V_{r-1} control the proven
-energy-dissipation step bound tau_max.
+V[i][j] = (a_{r,i})^j for i, j = 1..r (node 0 excluded), inverted once by
+numpy.linalg.inv.  The minimum singular values of the cascade matrices
+V_1..V_{r-1} control the proven energy-dissipation step bound tau_max.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "NodeSet",
@@ -67,12 +66,12 @@ def make_nodes(r: int, kind: str = "uniform") -> NodeSet:
 
 
 class Vandermonde:
-    """The power matrix of a node set with its LU-computed inverse.
+    """The power matrix of a node set with its inverse.
 
     solve() accepts stacked right-hand sides of shape (r,) or (r, m); the
-    r x r inverse is computed once from the LU factorization and applied by
-    matrix products over the trailing axis, so per-grid-point systems cost
-    O(grid) without a triangular solve per call.  roundoff is
+    r x r inverse, from numpy.linalg.inv (LAPACK's LU), is computed once and
+    applied by matrix products over the trailing axis, so per-grid-point
+    systems cost O(grid) without a triangular solve per call.  roundoff is
     eps * ||V^{-1}||_1 (the largest column sum of |V^{-1}|), the relative
     rounding a solve may leave in its solution (Higham, ch. 12).
     """
@@ -84,10 +83,12 @@ class Vandermonde:
         self.nodes = nodeset.nodes
         self.matrix = np.vander(nodeset.nodes[1:], N=self.r + 1, increasing=True)[:, 1:]
         self.matrix.flags.writeable = False
-        lu, piv = scipy.linalg.lu_factor(self.matrix)
-        if not np.all(np.isfinite(lu)) or np.any(np.abs(np.diag(lu)) < 1e-300):
+        try:
+            self._inv = np.linalg.inv(self.matrix)
+        except np.linalg.LinAlgError:
+            self._inv = None
+        if self._inv is None or not np.all(np.isfinite(self._inv)):
             raise ValueError("Vandermonde matrix is singular to working precision")
-        self._inv = scipy.linalg.lu_solve((lu, piv), np.eye(self.r))
         self.roundoff = float(np.abs(self._inv).sum(axis=0).max() * np.finfo(float).eps)
 
     def solve(self, rhs: np.ndarray, out: np.ndarray = None, scratch=None) -> np.ndarray:

@@ -180,7 +180,7 @@ def test_criterion_06_observed_dissipation_beyond_threshold(capsys):
             prev = discrete_energy(u0, 0.1, pot)
             for n in range(1, round(20.0 / tau) + 1):
                 u, _ = step(ctx, u, n=n)
-                diag = record(ctx, n, u, prev)
+                diag = record(plan, pot, n, u, prev, t=n * tau, scratch=ctx.tmp)
                 if not diag.dissipation_ok:
                     violations += 1
                 prev = diag.energy

@@ -120,3 +120,18 @@ def test_dct_layouts_of_a_checkout_without_padded_rows(bench, monkeypatch):
     monkeypatch.delattr(etdac.stepper, "_padded")
     (fact,) = bench.dct_layouts(etdac, sizes=(16,))
     assert (fact["n"], fact["stride"], fact["padded_ms"]) == (16, 16, None) and fact["contiguous_ms"] > 0
+
+
+def test_import_rss_is_the_fresh_import_s_own_peak(bench, tmp_path):
+    # stand-in checkouts whose etdac.cli holds nothing, or 64 MiB written on import
+    floors = []
+    for name, body in (("bare", ""), ("heavy", "DATA = b'x' * (64 << 20)\n")):
+        package = tmp_path / name / "src" / "etdac"
+        package.mkdir(parents=True)
+        (package / "__init__.py").write_text("")
+        (package / "cli.py").write_text(body)
+        floors.append(bench.import_rss_mib(tmp_path / name))
+    # this process holds numpy and more, far above a bare interpreter, and none of it leaks in
+    assert floors[0] < 32
+    assert 62 <= floors[1] - floors[0] <= 66
+    assert floors[0] < bench.import_rss_mib(ROOT)

@@ -1,18 +1,22 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from etdac import cli
+from etdac import cli, stepper
 from etdac.cli import main
 from etdac.config import default_config
-from etdac.diagnostics import DISSIPATION_RTOL
+from etdac.diagnostics import DISSIPATION_RTOL, RunReport, record, write_csv
 from etdac.grid import Field, Mesh2D, write_field_csv
 from etdac.scheme import Vandermonde, make_nodes, make_scheme, sigma_min, tau_max
-from etdac.stepper import NumericalBlowup
+from etdac.stepper import NumericalBlowup, StepContext
 
 
 def read_rows(path):
@@ -76,6 +80,15 @@ class TestRun:
         rows = read_rows(out / "diagnostics.csv")
         assert len(rows) == 1
         assert rows[0]["n"] == "0"
+
+    def test_a_run_loads_no_scipy_linalg(self, tmp_path):
+        # numpy.linalg inverts the Vandermonde systems: scipy.linalg and its
+        # LAPACK wrappers would add some 6 MiB to every process's resident set
+        argv = ["run", "--grid", "8", "--order", "7", "--rescaled", "true", "--out", str(tmp_path / "o")]
+        code = f"import sys, etdac.cli\nassert etdac.cli.main({argv!r}) == 0\nprint('scipy.linalg' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert proc.stdout.splitlines()[-1] == "False"
 
     def test_seeded_runs_are_byte_identical(self, tmp_path):
         outs = []
@@ -320,7 +333,7 @@ class TestRunLoop:
         real_record = cli.record
 
         def spy(*args, **kwargs):
-            calls.append(args[1])
+            calls.append(args[2])
             return real_record(*args, **kwargs)
 
         monkeypatch.setattr(cli, "record", spy)
@@ -376,6 +389,24 @@ class TestRunLoop:
         u, report, err = cli._integrate(self.plan, self.potential, make_scheme(3), True, 0.5, 0.25, self.u0)
         assert err is None and taus == [0.25]
         assert [(d.n, d.t) for d in report.series] == [(0, 0.0), (1, 0.25)]
+
+    def test_a_run_that_takes_no_step_tabulates_no_phi_grid(self, tmp_path, monkeypatch):
+        # an order-5 context would tabulate 23 grids just to lend record its tmp row
+        calls, real = [], stepper.phi_batch
+        monkeypatch.setattr(stepper, "phi_batch", lambda *args: calls.append(args[0]) or real(*args))
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({"nx": 16, "ny": 16, "potential": {"kind": "fh"},
+                                       "init": {"kind": "random", "seed": 4, "amplitude": 0.9}}))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfgfile), "--order", "5", "--t-end", "0", "--out", str(out)]) == 0
+        assert calls == []
+        # the files hold the initial state as measured with a context's tmp row
+        ctx = StepContext(self.plan, self.potential, make_scheme(5), 0.1, rescaled=True)
+        report = RunReport([record(self.plan, self.potential, 0, self.u0, t=0.0, scratch=ctx.tmp)])
+        write_csv(report, tmp_path / "diagnostics.csv")
+        write_field_csv(self.u0, tmp_path / "field_final.csv")
+        for name in ("diagnostics.csv", "field_final.csv"):
+            assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
 
     @pytest.mark.parametrize("rescaled", [False, True])
     def test_final_field_equals_the_recorded_runs(self, rescaled):

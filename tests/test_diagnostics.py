@@ -19,20 +19,18 @@ from etdac.stepper import StepContext
 
 
 @pytest.fixture
-def ctx(mesh8, gl):
-    plan = SpectralPlan(mesh8, 0.1, 2.0)
-    return StepContext(plan, gl, make_scheme(2), 0.1)
+def plan(mesh8):
+    return SpectralPlan(mesh8, 0.1, 2.0)
 
 
 @pytest.fixture
-def fh_ctx(mesh8, fh):
-    plan = SpectralPlan(mesh8, 0.1, fh.kappa_min)
-    return StepContext(plan, fh, make_scheme(2), 0.1)
+def fh_plan(mesh8, fh):
+    return SpectralPlan(mesh8, 0.1, fh.kappa_min)
 
 
 class TestRecord:
-    def test_zero_state_double_well_energy(self, ctx, mesh8):
-        d = record(ctx, 0, Field(mesh8, np.full(mesh8.ncells, 0.0)))
+    def test_zero_state_double_well_energy(self, plan, gl, mesh8):
+        d = record(plan, gl, 0, Field(mesh8, np.full(mesh8.ncells, 0.0)), t=0.0)
         assert d.energy == pytest.approx(math.pi**2, rel=1e-13)
         assert d.max_norm == 0.0
         assert d.mbp_ok
@@ -40,46 +38,55 @@ class TestRecord:
         assert d.alpha_min == 1.0
         assert d.t == 0.0
 
-    def test_time_defaults_to_step_times_tau(self, ctx, mesh8):
+    def test_time_is_recorded_as_given(self, plan, gl, mesh8):
+        # the run loop knows each state's time; a shortened last step's is not n tau
         u = Field(mesh8, np.full(mesh8.ncells, 0.0))
-        assert record(ctx, 7, u).t == pytest.approx(0.7)
-        assert record(ctx, 7, u, t=0.25).t == 0.25
+        assert record(plan, gl, 7, u, t=0.25).t == 0.25
+        assert record(plan, gl, 7, u, t=0.7).t == 0.7
 
-    def test_dissipation_vacuous_without_predecessor(self, ctx, mesh8):
+    def test_dissipation_vacuous_without_predecessor(self, plan, gl, mesh8):
         u = sinprod(mesh8, 0.5)
-        assert record(ctx, 0, u, prev_energy=None).dissipation_ok
+        assert record(plan, gl, 0, u, prev_energy=None, t=0.0).dissipation_ok
 
-    def test_dissipation_roundoff_guard(self, ctx, mesh8):
+    def test_dissipation_roundoff_guard(self, plan, gl, mesh8):
         u = Field(mesh8, np.full(mesh8.ncells, 0.0))
-        e = record(ctx, 0, u).energy
-        assert record(ctx, 1, u, prev_energy=e).dissipation_ok
+        e = record(plan, gl, 0, u, t=0.0).energy
+        assert record(plan, gl, 1, u, prev_energy=e, t=0.1).dissipation_ok
         within = e - 0.5 * DISSIPATION_RTOL * (1.0 + abs(e))
-        assert record(ctx, 1, u, prev_energy=within).dissipation_ok
+        assert record(plan, gl, 1, u, prev_energy=within, t=0.1).dissipation_ok
         beyond = e - 3.0 * DISSIPATION_RTOL * (1.0 + abs(e))
-        assert not record(ctx, 1, u, prev_energy=beyond).dissipation_ok
+        assert not record(plan, gl, 1, u, prev_energy=beyond, t=0.1).dissipation_ok
 
-    def test_mbp_flag_boundary(self, ctx, mesh8):
+    def test_mbp_flag_boundary(self, plan, gl, mesh8):
         ok = Field(mesh8, np.full(mesh8.ncells, 1.0 + 0.5 * MBP_TOL))
-        assert record(ctx, 1, ok).mbp_ok
+        assert record(plan, gl, 1, ok, t=0.1).mbp_ok
         bad = Field(mesh8, np.full(mesh8.ncells, 1.0 + 2.0 * MBP_TOL))
-        assert not record(ctx, 1, bad).mbp_ok
+        assert not record(plan, gl, 1, bad, t=0.1).mbp_ok
 
-    def test_out_of_domain_state_gets_inf_energy(self, fh_ctx, mesh8):
-        d = record(fh_ctx, 3, Field(mesh8, np.full(mesh8.ncells, 1.5)))
+    def test_out_of_domain_state_gets_inf_energy(self, fh_plan, fh, mesh8):
+        d = record(fh_plan, fh, 3, Field(mesh8, np.full(mesh8.ncells, 1.5)), t=0.3)
         assert d.energy == math.inf
         assert not d.mbp_ok
         # inf <= prev fails, so the violation is also flagged
-        assert not record(fh_ctx, 3, Field(mesh8, np.full(mesh8.ncells, 1.5)), prev_energy=1.0).dissipation_ok
+        assert not record(fh_plan, fh, 3, Field(mesh8, np.full(mesh8.ncells, 1.5)), prev_energy=1.0,
+                          t=0.3).dissipation_ok
 
-    def test_alpha_min_passthrough(self, ctx, mesh8):
-        d = record(ctx, 1, Field(mesh8, np.full(mesh8.ncells, 0.0)), alpha_min=0.37)
+    def test_alpha_min_passthrough(self, plan, gl, mesh8):
+        d = record(plan, gl, 1, Field(mesh8, np.full(mesh8.ncells, 0.0)), t=0.1, alpha_min=0.37)
         assert d.alpha_min == 0.37
 
     @pytest.mark.parametrize("n", [4, 16])
-    def test_a_field_with_other_cells_than_the_context_raises(self, ctx, n):
-        # the energy's scratch row is the context's; an inf energy would hide the mismatch
+    def test_a_field_with_other_cells_than_the_context_raises(self, plan, gl, n):
+        # the energy's scratch is the context's tmp; an inf energy would hide the mismatch
+        ctx = StepContext(plan, gl, make_scheme(2), 0.1)
         with pytest.raises(ValueError):
-            record(ctx, 0, Field(Mesh2D(2 * np.pi, 2 * np.pi, n, n), np.zeros(n * n)))
+            record(plan, gl, 0, Field(Mesh2D(2 * np.pi, 2 * np.pi, n, n), np.zeros(n * n)), t=0.0, scratch=ctx.tmp)
+
+    def test_the_energy_is_the_same_with_or_without_scratch(self, fh_plan, fh, mesh8):
+        # the run loop records its initial state with no step context
+        ctx = StepContext(fh_plan, fh, make_scheme(2), 0.1)
+        u = random_field(mesh8, 3, -0.9, 0.9)
+        assert record(fh_plan, fh, 0, u, t=0.0) == record(fh_plan, fh, 0, u, t=0.0, scratch=ctx.tmp)
 
     @pytest.mark.parametrize("potential, budget", [("gl", 1.05), ("fh", 2.05)])
     def test_record_allocates_only_the_potential_s_temporaries(self, request, potential, budget):
@@ -88,9 +95,10 @@ class TestRecord:
         # makes 1 (gl) or 2 (fh) temporaries of a slice, at 128^2 the whole field
         pot = request.getfixturevalue(potential)
         mesh = Mesh2D(2 * np.pi, 2 * np.pi, 128, 128)
-        ctx = StepContext(SpectralPlan(mesh, 0.1, pot.kappa_min), pot, make_scheme(3), 0.1)
+        plan = SpectralPlan(mesh, 0.1, pot.kappa_min)
+        ctx = StepContext(plan, pot, make_scheme(3), 0.1)
         u = random_field(mesh, 0, -0.9 * pot.beta, 0.9 * pot.beta)
-        diag, peak = traced_peak(lambda: record(ctx, 1, u, 0.0))
+        diag, peak = traced_peak(lambda: record(plan, pot, 1, u, 0.0, t=0.1, scratch=ctx.tmp))
         assert math.isfinite(diag.energy)
         assert peak <= budget * 8 * mesh.ncells
 

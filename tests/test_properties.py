@@ -111,7 +111,7 @@ def test_rescaled_steps_keep_the_maximum_bound(n, potential, order, tau, seed):
     for i in range(1, 4):
         u, _ = step(ctx, u, n=i)
         assert max_norm(u) <= potential.beta + MBP_TOL
-        assert record(ctx, i, u).mbp_ok
+        assert record(plan, potential, i, u, t=i * tau).mbp_ok
 
 
 @settings(deadline=None, max_examples=25)
@@ -121,9 +121,9 @@ def test_energy_dissipates_below_tau_max(n, potential, order, frac, seed):
     plan, u = random_state(n, potential, seed)
     tau = frac * tau_max(order, plan.kappa, rescaled=True)
     ctx = StepContext(plan, potential, make_scheme(order), tau, rescaled=True)
-    prev = record(ctx, 0, u).energy
+    prev = record(plan, potential, 0, u, t=0.0).energy
     for i in range(1, 4):
         u, _ = step(ctx, u, n=i)
-        diag = record(ctx, i, u, prev)
+        diag = record(plan, potential, i, u, prev, t=i * tau)
         assert diag.dissipation_ok
         prev = diag.energy

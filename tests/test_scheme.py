@@ -120,6 +120,15 @@ class TestVandermonde:
             res = np.max(np.abs(v.matrix @ v.solve(d) - d))
             assert res <= 1e-12 * (1.0 + np.max(np.abs(d)))
 
+    @pytest.mark.parametrize("r", range(1, 11))
+    @pytest.mark.parametrize("kind", NODE_KINDS)
+    def test_the_inverse_leaves_a_residual_below_roundoff(self, r, kind):
+        # an LU-computed inverse X leaves V X - I of order eps ||V|| ||X||,
+        # and ||V|| <= r as the nodes lie in [0, 1]; the largest residual is
+        # 0.26 of roundoff (Chebyshev, r = 8)
+        v = Vandermonde(make_nodes(r, kind))
+        assert np.max(np.abs(v.matrix @ v._inv - np.eye(r))) <= v.roundoff
+
     def test_stacked_solve_matches_columnwise(self):
         v = Vandermonde(make_nodes(4))
         rng = np.random.default_rng(9)
@@ -175,6 +184,13 @@ class TestVandermonde:
     def test_degree_zero_rejected(self):
         with pytest.raises(ValueError):
             Vandermonde(make_nodes(0))
+
+    @pytest.mark.parametrize("nodes", [[0.0, 1e-200, 2e-200], [0.0, 1e-310, 1.0]], ids=["zero-pivot", "overflow"])
+    def test_a_system_singular_to_working_precision_is_rejected(self, nodes):
+        # the first nodes' squares underflow to zero, so LAPACK meets a zero
+        # pivot; in the second, 1/1e-310 overflows the inverse
+        with pytest.raises(ValueError, match="singular to working precision"):
+            Vandermonde(NodeSet(2, "uniform", np.array(nodes)))
 
     @pytest.mark.parametrize("r", range(1, 10))
     @pytest.mark.parametrize("kind", NODE_KINDS)

@@ -694,7 +694,7 @@ class TestStep:
             ctx = make_ctx(mesh8, gl, 3, 0.5, rescaled=rescaled)
             u1, _ = step(ctx, ones_field(mesh8))
             assert np.max(np.abs(u1.values - 1.0)) < 1e-12
-            assert record(ctx, 1, u1).mbp_ok
+            assert record(ctx.plan, gl, 1, u1, t=ctx.tau).mbp_ok
 
     @pytest.mark.parametrize("rescaled", [False, True])
     def test_vanishing_nonlinearity_reduces_to_the_semigroup(self, mesh8, rescaled):
@@ -791,7 +791,7 @@ class TestStep:
         with pytest.raises(ValueError):
             step(ctx, Field(mesh8, np.full(mesh8.ncells, 1.0 + 1e-10)))
         u1, _ = step(ctx, Field(mesh8, np.full(mesh8.ncells, 1.0 + 1e-13)))
-        assert record(ctx, 1, u1).mbp_ok
+        assert record(ctx.plan, gl, 1, u1, t=ctx.tau).mbp_ok
 
     def test_out_of_domain_input_raises_bound_exceeded(self, mesh8, fh):
         ctx = make_ctx(mesh8, fh, 3, 0.1)
@@ -882,7 +882,7 @@ class TestStructurePreservation:
         u = random_field(mesh, 11, -fh.beta + 1e-12, fh.beta - 1e-12)
         for n in range(1, 6):
             u, _ = step(ctx, u, n=n)
-            diag = record(ctx, n, u)
+            diag = record(ctx.plan, fh, n, u, t=n * tau)
             assert diag.max_norm <= fh.beta + 1e-12
             assert diag.mbp_ok
 
@@ -910,7 +910,7 @@ class TestStructurePreservation:
         prev = discrete_energy(u, 0.1, gl)
         for n in range(1, 11):
             u, _ = step(ctx, u, n=n)
-            diag = record(ctx, n, u, prev)
+            diag = record(ctx.plan, gl, n, u, prev, t=n * tau)
             assert diag.dissipation_ok
             assert diag.energy <= prev + 1e-10 * (1.0 + abs(prev))
             prev = diag.energy

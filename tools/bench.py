@@ -41,6 +41,12 @@ The file records:
   null where the checkout has no such file.
 * ``src_lines``: the line count of the checkout's ``src/etdac/*.py``, as
   ``wc -l`` gives it, beside the perf numbers that the same code makes.
+* ``import_rss_mib``: the ``ru_maxrss`` of a fresh ``python3 -c "import
+  etdac.cli"`` of the checkout with one BLAS thread, the median of
+  IMPORT_RUNS: the floor under every workload's ``peak_rss_mib``.
+  Bytecode that is missing or stale is compiled on import and raises it,
+  so clear ``src/etdac/__pycache__`` in two checkouts before comparing
+  them.
 * the checkout's git commit, whether its ``src`` differs from that commit,
   the Python, numpy and scipy versions, and numpy's SIMD baseline: a build
   whose baseline fuses multiply-add (NEON, or x86 at FMA3) rounds the
@@ -80,6 +86,15 @@ STEPS = 9  # timed steps per grid cell
 # milliseconds of DCT pairs timed after each step, as perfbench/child.py samples its pace
 SAMPLE_MS = 2.0
 LAYOUT_ROUNDS = 15  # alternating rounds of contiguous and padded DCT pairs per size
+IMPORT_RUNS = 3  # fresh imports of etdac.cli; the first may compile and write the bytecode
+# On Linux a process's ru_maxrss counts the RSS high-water mark of the process
+# that spawned it, carried across exec, so this process's own would leak into
+# it: a small interpreter spawns each import and reads it as RUSAGE_CHILDREN
+IMPORT_RSS = (
+    "import resource, subprocess, sys\n"
+    "subprocess.run([sys.executable, '-c', 'import etdac.cli'], check=True)\n"
+    "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+)
 # the line tests/test_acceptance.py prints for each criterion
 GATE_LINE = re.compile(r"^\[(PASS|FAIL)\] criterion (\d+): .* \(([\d.]+)s / budget ([\d.e+-]+)s\)$", re.M)
 
@@ -95,6 +110,14 @@ def git(checkout: Path, *args: str) -> str | None:
 def src_lines(checkout: Path) -> int:
     """The newlines in the checkout's src/etdac/*.py, wc -l's total."""
     return sum(path.read_bytes().count(b"\n") for path in (checkout / "src" / "etdac").glob("*.py"))
+
+
+def import_rss_mib(checkout: Path) -> float:
+    """Median peak resident MiB of a fresh interpreter importing the checkout's etdac.cli."""
+    env = {**os.environ, **SINGLE_THREAD, "PYTHONPATH": str(checkout / "src")}
+    kib = [int(subprocess.run([sys.executable, "-c", IMPORT_RSS], env=env, capture_output=True, text=True,
+                              check=True).stdout) for _ in range(IMPORT_RUNS)]
+    return statistics.median(kib) / 1024
 
 
 def perfbench(checkout: Path, workload: str, trace: int) -> dict:
@@ -235,6 +258,7 @@ def main(argv=None) -> int:
         "commit": git(checkout, "rev-parse", "HEAD"),
         "src_differs_from_commit": bool(git(checkout, "status", "--porcelain", "--", "src")),
         "src_lines": src_lines(checkout),
+        "import_rss_mib": import_rss_mib(checkout),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
